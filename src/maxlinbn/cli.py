@@ -145,10 +145,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    x = formats.read_samples(args.samples)
-    b_check = identify_coefficients(x, args.atom_rtol)
-    g, weights = identify_structure(x, args.atom_rtol)
-    stats = ratio_statistics(x, args.atom_rtol)
+    stats = ratio_statistics(formats.read_samples(args.samples), args.atom_rtol)
+    b_check = identify_coefficients(stats)
+    g, weights = identify_structure(stats, args.atom_rtol)
     if args.json:
         print(
             json.dumps(

@@ -110,6 +110,17 @@ def ancestor_ratio_coefficients(g: Dag, x) -> np.ndarray:
     return B
 
 
+def _statistics(x, atom_rtol: float) -> RatioStatistics:
+    """Ratio statistics of ``x``, a sample or already its statistics,
+    checked to come from at least two observations."""
+    if not isinstance(x, RatioStatistics):
+        return ratio_statistics(_validate_sample(x, min_n=2), atom_rtol)
+    mult = x.multiplicity
+    if mult.size and mult[0, 0] < 2:
+        raise EmptySample(f"need at least 2 observations, got {int(mult[0, 0])}")
+    return x
+
+
 def identify_coefficients(x, atom_rtol: float = DEFAULT_ATOM_RTOL) -> np.ndarray:
     """Coefficient matrix from a sample alone, without knowing the DAG.
 
@@ -117,9 +128,12 @@ def identify_coefficients(x, atom_rtol: float = DEFAULT_ATOM_RTOL) -> np.ndarray
     when that minimum recurs (is attained by at least two observations
     within ``atom_rtol``), which indicates an atom and hence that ``j`` is
     an ancestor of ``i``; otherwise 0.  Diagonal is 1.
+
+    ``x`` is an ``(n, d)`` sample or the :class:`RatioStatistics` of one;
+    statistics are used as given, with the tolerance they were computed
+    with.
     """
-    a = _validate_sample(x, min_n=2)
-    stats = ratio_statistics(a, atom_rtol)
+    stats = _statistics(x, atom_rtol)
     out = np.where(stats.multiplicity >= 2, stats.min_ratio, 0.0)
     np.fill_diagonal(out, 1.0)
     return out
@@ -130,9 +144,10 @@ def identify_structure(
 ) -> tuple[Dag, dict[tuple[int, int], float]]:
     """Minimal DAG and edge weights identified from a sample alone.
 
-    Runs :func:`identify_coefficients` and reduces the result to its
-    edge-minimal DAG.  At small sample sizes the detected sign pattern may
-    not be the reachability relation of any DAG; that raises
+    Runs :func:`identify_coefficients` (so ``x`` may also be the sample's
+    :class:`RatioStatistics`) and reduces the result to its edge-minimal
+    DAG.  At small sample sizes the detected sign pattern may not be the
+    reachability relation of any DAG; that raises
     :class:`InvalidCoefficientMatrix` rather than being repaired silently.
     """
     return minimal_dag(identify_coefficients(x, atom_rtol), rtol)

@@ -4,7 +4,9 @@ A model assigns every edge ``u -> v`` a positive weight ``c_vu``; the value
 at a vertex is the maximum of its weighted parent values and its own noise,
 ``X_v = max(max_u c_vu * X_u, Z_v)``.  Eliminating the recursion expresses
 each ``X_v`` as a max-linear combination of the noise variables with the
-coefficient matrix ``B = closure(C)``: ``X = B (x) Z`` rowwise.
+coefficient matrix ``B = closure(C)``: ``X = B (x) Z`` rowwise.  Sampling
+evaluates the recursion itself, along the well-ordering, with the same
+sweep that computes the closure.
 
 The distribution of ``X`` determines ``B`` but not the DAG: several DAGs
 and weight choices induce the same ``B``.  :func:`minimal_dag` recovers the
@@ -31,7 +33,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .graph import Dag, Edge
-from .tropical import DEFAULT_RTOL, closure, values_close
+from .tropical import DEFAULT_RTOL, _sweep, closure, values_close
 
 
 class WeightKind(enum.Enum):
@@ -143,12 +145,16 @@ class MaxLinearModel:
 
         Observation ``nu`` uses the dedicated random substream seeded by
         ``(noise.seed, nu)``, so the output is reproducible and independent
-        of any batching or parallel schedule.
+        of any batching or parallel schedule.  Each row is the noise row of
+        :func:`noise_matrix` pushed through the recursion
+        ``X_v = max(Z_v, max_u c_vu X_u)`` along the well-ordering, so it
+        satisfies the recursion exactly, with no rounding beyond the one
+        product per edge.
         """
         if n < 1:
             raise ValueError(f"need n >= 1 observations, got {n}")
         z = noise_matrix(noise, n, self.d)
-        return propagate(self.B, z)
+        return propagate(self.C, z)
 
     def __repr__(self) -> str:
         return f"MaxLinearModel({self.graph!r}, {self.edge_weights()!r})"
@@ -164,18 +170,21 @@ def noise_matrix(noise: NoiseSpec, n: int, d: int) -> np.ndarray:
     return z
 
 
-def propagate(b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Push noise rows through the coefficient matrix: per row,
-    ``x[v] = max_u b[v, u] * z[u]``.
+def propagate(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Push noise rows through a model: returns ``B (x) z`` rowwise, that is
+    ``x[v] = max_u b[v, u] * z[u]`` per row.
+
+    ``c`` may be the edge-weight matrix ``C`` or its closure ``B``: both
+    satisfy the recursion ``x[v] = max(z[v], max_u c[v, u] * x[u])``, which
+    is evaluated along the well-ordering of the positive pattern.  Either
+    matrix must be a valid weight matrix (square, nonnegative, unit
+    diagonal, acyclic pattern); ``z`` has one column per vertex.  Results
+    for ``C`` and ``B`` agree up to rounding.
 
     This is the deterministic half of sampling, split out so tests can feed
     degenerate noise (for example all ones) directly.
     """
-    B = np.asarray(b, dtype=float)
-    Z = np.atleast_2d(np.asarray(z, dtype=float))
-    if Z.shape[1] != B.shape[1]:
-        raise DimensionMismatch(f"noise width {Z.shape[1]} vs matrix {B.shape}")
-    return np.max(Z[:, None, :] * B[None, :, :], axis=2)
+    return np.ascontiguousarray(_sweep(c, z).T)
 
 
 def _validate_coefficients(b) -> tuple[np.ndarray, np.ndarray]:

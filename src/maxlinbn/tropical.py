@@ -1,11 +1,13 @@
 """Matrix algebra over the max-times semiring ``([0, inf), max, *)``.
 
 The additive identity is 0 ("no path"), the multiplicative identity is 1.
-``max_times_product`` is matrix multiplication over this semiring and
-``closure`` iterates it to turn an edge-weight matrix into the induced
-best-path-weight matrix.  ``brute_force_coefficients`` recomputes the same
-matrix by exhaustive path enumeration and exists as an independent oracle
-for the closure.
+``max_times_product`` is matrix multiplication over this semiring.  The
+model's recursion ``X_v = max(Z_v, max_{u in pa(v)} c_vu X_u)`` is
+evaluated in one place, a sweep along a well-ordering of the weight
+matrix's positive pattern: ``closure`` applies it to the unit vectors and
+``model.propagate`` to noise rows.  ``brute_force_coefficients`` recomputes
+the closure by exhaustive path enumeration and exists as an independent
+oracle for it.
 
 Matrix convention: row index is the target vertex, column index the source,
 so ``M[v-1, u-1]`` carries the weight attached to ``u -> v``.
@@ -78,12 +80,7 @@ def max_times_product(f, g) -> np.ndarray:
     return out
 
 
-def validate_weight_matrix(c: np.ndarray) -> np.ndarray:
-    """Check the edge-weight matrix invariants and return the validated array.
-
-    Requires a square nonnegative matrix with unit diagonal whose positive
-    off-diagonal pattern is acyclic.
-    """
+def _weighted_dag(c) -> tuple[np.ndarray, Dag]:
     C = _as_matrix(c, "weight matrix")
     d = C.shape[0]
     if C.shape[0] != C.shape[1]:
@@ -92,29 +89,55 @@ def validate_weight_matrix(c: np.ndarray) -> np.ndarray:
         raise InvalidWeightMatrix("diagonal entries must all equal 1")
     edges = [(u + 1, v + 1) for v, u in zip(*np.nonzero(C)) if u != v]
     try:
-        Dag(d, edges)
+        return C, Dag(d, edges)
     except CycleError as exc:
         raise InvalidWeightMatrix(f"positive pattern is cyclic: {exc}") from exc
-    return C
+
+
+def validate_weight_matrix(c: np.ndarray) -> np.ndarray:
+    """Check the edge-weight matrix invariants and return the validated array.
+
+    Requires a square nonnegative matrix with unit diagonal whose positive
+    off-diagonal pattern is acyclic.
+    """
+    return _weighted_dag(c)[0]
+
+
+def _sweep(c, z=None) -> np.ndarray:
+    """The max-linear recursion of the weight matrix ``c``, pushed through
+    the rows of ``z`` (the identity when ``None``).
+
+    Validates ``c`` like :func:`validate_weight_matrix`, then visits the
+    vertices along the well-ordering of its positive pattern and sets
+    ``x_v = max(z_v, max_{u in pa(v)} c_vu * x_u)``.  Returns the result
+    transposed, shape ``(d, n)``: row ``v - 1`` holds vertex ``v`` across
+    the ``n`` rows of ``z``.  Every entry is a maximum of path products
+    multiplied from the source onwards.
+    """
+    C, g = _weighted_dag(c)
+    if z is None:
+        x = np.eye(g.d)
+    else:
+        Z = np.atleast_2d(np.asarray(z, dtype=float))
+        if Z.shape[1] != g.d:
+            raise DimensionMismatch(f"noise width {Z.shape[1]} vs matrix {C.shape}")
+        x = Z.T.copy()
+    for v in g.well_order:
+        xv = x[v - 1]
+        for u in g.parents(v):
+            np.maximum(xv, C[v - 1, u - 1] * x[u - 1], out=xv)
+    return x
 
 
 def closure(c) -> np.ndarray:
     """Best-path-weight matrix of an edge-weight matrix.
 
-    Computes ``max(C^(x)0, ..., C^(x)(d-1)) = C^(x)(d-1)`` by repeated
-    max-times squaring (the unit diagonal makes the powers monotone, so
-    overshooting the exponent is harmless).  Entry ``[v-1, u-1]`` of the
-    result is the maximal product of edge weights over directed paths from
-    ``u`` to ``v``, 1 on the diagonal, 0 where no path exists.
+    Entry ``[v-1, u-1]`` of the result is the maximal product of edge
+    weights over directed paths from ``u`` to ``v``, 1 on the diagonal, 0
+    where no path exists.  It is the max-linear recursion evaluated on the
+    unit noise vectors: column ``u`` is the outcome of the noise ``e_u``.
     """
-    C = validate_weight_matrix(c)
-    d = C.shape[0]
-    B = C.copy()
-    k = 1
-    while k < d - 1:
-        B = max_times_product(B, B)
-        k *= 2
-    return B
+    return _sweep(c)
 
 
 def path_weight(c, path: Sequence[int]) -> float:

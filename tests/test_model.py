@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from maxlinbn import (
     Dag,
+    DimensionMismatch,
     ExtraneousWeight,
     IncompatibleDag,
     InvalidCoefficientMatrix,
+    InvalidWeightMatrix,
     MaxLinearModel,
     MissingEdgeWeight,
     NoiseSpec,
@@ -18,6 +22,7 @@ from maxlinbn import (
     marginal_rows,
     matrices_close,
     minimal_dag,
+    noise_matrix,
     propagate,
 )
 
@@ -61,14 +66,49 @@ class TestPropagate:
         x = propagate(diamond_model.B, np.array([[1.0, 1.0, 1.0, 0.1]]))
         assert x[0, 3] == 0.9
 
+    def test_weights_and_coefficients_agree(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            g, w = random_weighted_dag(rng, int(rng.integers(1, 12)), p=0.5)
+            m = MaxLinearModel(g, w)
+            z = noise_matrix(NoiseSpec.frechet(1.0, 5), 50, g.d)
+            assert matrices_close(propagate(m.C, z), propagate(m.B, z), rtol=1e-12)
+
+    def test_cyclic_pattern_rejected(self):
+        c = np.array([[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(InvalidWeightMatrix):
+            propagate(c, np.ones((1, 2)))
+
+    def test_non_unit_diagonal_rejected(self, diamond_model):
+        c = np.array(diamond_model.C)
+        c[2, 2] = 2.0
+        with pytest.raises(InvalidWeightMatrix):
+            propagate(c, np.ones((1, 4)))
+
+    def test_width_mismatch_rejected(self, diamond_model):
+        with pytest.raises(DimensionMismatch):
+            propagate(diamond_model.C, np.ones((3, 5)))
+
+    def test_memory_linear_in_sample(self):
+        n, d = 500, 100
+        g, w = random_weighted_dag(np.random.default_rng(8), d, p=0.1)
+        c = MaxLinearModel(g, w).C
+        z = noise_matrix(NoiseSpec.frechet(1.0, 2), n, d)
+        tracemalloc.start()
+        try:
+            propagate(c, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an (n, d, d) temporary would take n * d * d * 8 bytes
+        assert peak < 4 * n * d * 8
+
 
 class TestSampling:
     def test_single_vertex_is_noise_itself(self):
         m = MaxLinearModel(Dag(1), {})
         spec = NoiseSpec.frechet(1.0, 99)
         x = m.sample(5, spec)
-        from maxlinbn import noise_matrix
-
         assert np.array_equal(x, noise_matrix(spec, 5, 1))
 
     def test_support_cone(self, diamond_model):
@@ -90,6 +130,20 @@ class TestSampling:
             hits = np.sum(np.abs(ratio - c[v - 1, u - 1]) <= 1e-12 * ratio)
             assert hits > 0
             assert hits >= 0.01 * x.shape[0]
+
+    def test_rows_satisfy_the_recursion_exactly(self):
+        rng = np.random.default_rng(37)
+        for k in range(20):
+            g, w = random_weighted_dag(rng, int(rng.integers(1, 12)), p=0.5)
+            m = MaxLinearModel(g, w)
+            spec = NoiseSpec.frechet(1.0, k)
+            x = m.sample(40, spec)
+            z = noise_matrix(spec, 40, g.d)
+            for v in range(1, g.d + 1):
+                expected = z[:, v - 1]
+                for u in g.parents(v):
+                    expected = np.maximum(expected, m.C[v - 1, u - 1] * x[:, u - 1])
+                assert np.array_equal(x[:, v - 1], expected)
 
     def test_deterministic_and_prefix_stable(self, diamond_model):
         spec = NoiseSpec.frechet(1.0, 42)
