@@ -9,6 +9,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -125,8 +126,14 @@ def _cmd_equiv(args) -> int:
 def _cmd_minimize(args) -> int:
     with open(args.matrix) as fh:
         obj = json.load(fh)
+    if isinstance(obj, dict) and "B" not in obj:
+        raise MaxLinError(f"{args.matrix}: matrix JSON needs a list of rows or a 'B' field")
     rows = obj["B"] if isinstance(obj, dict) else obj
-    g, weights = minimal_dag(np.asarray(rows, dtype=float))
+    try:
+        b = np.asarray(rows, dtype=float)
+    except TypeError as exc:
+        raise MaxLinError(f"{args.matrix}: matrix rows must hold numbers: {exc}") from exc
+    g, weights = minimal_dag(b)
     print(json.dumps(formats.dag_to_dict(g, weights)))
     return 0
 
@@ -184,7 +191,9 @@ def _cmd_glr2(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="maxlinbn",
         description="Recursive max-linear Bayesian networks: coefficients, "

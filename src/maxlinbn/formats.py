@@ -50,19 +50,22 @@ def dag_from_dict(obj: dict) -> tuple[Dag, Optional[dict[Edge, float]]]:
         raw = obj["edges"]
     except (KeyError, TypeError) as exc:
         raise MaxLinError(f"DAG JSON needs 'd' and 'edges' fields: {exc}") from exc
+    names = obj.get("names")
+    if not isinstance(raw, list) or not isinstance(names, (list, type(None))):
+        raise MaxLinError("DAG JSON 'edges' and 'names' must be lists")
     edges = []
     weights: dict[Edge, float] = {}
     weighted = 0
     for entry in raw:
         try:
             e = (int(entry["from"]), int(entry["to"]))
+            if "weight" in entry:
+                weights[e] = float(entry["weight"])
+                weighted += 1
         except (KeyError, TypeError, ValueError) as exc:
             raise MaxLinError(f"malformed edge entry {entry!r}: {exc}") from exc
         edges.append(e)
-        if "weight" in entry:
-            weights[e] = float(entry["weight"])
-            weighted += 1
-    g = Dag(d, edges, names=obj.get("names"))
+    g = Dag(d, edges, names=names)
     if weighted == 0:
         return g, None
     if weighted < len(edges):

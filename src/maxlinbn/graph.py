@@ -10,7 +10,6 @@ and no relabeling is ever performed.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -222,29 +221,27 @@ class Dag:
 
     # --- derived vertex sets ---------------------------------------------
 
+    def _walk(self, step: dict[int, frozenset[int]], start: Iterable[int]) -> frozenset[int]:
+        """``start`` and every vertex reached from it along ``step``, a map
+        from each vertex to its parents, its children or its neighbours."""
+        stack = list(start)
+        for v in stack:
+            _check_vertex(v, self._d)
+        out = set(stack)
+        while stack:
+            for u in step[stack.pop()]:
+                if u not in out:
+                    out.add(u)
+                    stack.append(u)
+        return frozenset(out)
+
     def ancestors(self, v: int) -> frozenset[int]:
         """Strict ancestors of ``v`` (vertices with a directed path to it)."""
-        _check_vertex(v, self._d)
-        out: set[int] = set()
-        stack = list(self._parents[v])
-        while stack:
-            u = stack.pop()
-            if u not in out:
-                out.add(u)
-                stack.extend(self._parents[u])
-        return frozenset(out)
+        return self._walk(self._parents, (v,)) - {v}
 
     def descendants(self, v: int) -> frozenset[int]:
         """Strict descendants of ``v``."""
-        _check_vertex(v, self._d)
-        out: set[int] = set()
-        stack = list(self._children[v])
-        while stack:
-            u = stack.pop()
-            if u not in out:
-                out.add(u)
-                stack.extend(self._children[u])
-        return frozenset(out)
+        return self._walk(self._children, (v,)) - {v}
 
     def ancestral_closure(self, vertices: Iterable[int]) -> frozenset[int]:
         """Smallest ancestral set containing ``vertices``.
@@ -252,20 +249,7 @@ class Dag:
         The result contains the given vertices and all of their ancestors,
         so it is closed under taking parents.
         """
-        out: set[int] = set()
-        stack = []
-        for v in vertices:
-            _check_vertex(v, self._d)
-            if v not in out:
-                out.add(v)
-                stack.append(v)
-        while stack:
-            v = stack.pop()
-            for u in self._parents[v]:
-                if u not in out:
-                    out.add(u)
-                    stack.append(u)
-        return frozenset(out)
+        return self._walk(self._parents, vertices)
 
     # --- derived graphs ---------------------------------------------------
 
@@ -294,20 +278,13 @@ class Dag:
     def is_polytree(self) -> bool:
         """True iff the skeleton is a forest (at most one path between any
         two vertices)."""
+        step = {v: self._parents[v] | self._children[v] for v in range(1, self._d + 1)}
         seen: set[int] = set()
         components = 0
         for start in range(1, self._d + 1):
-            if start in seen:
-                continue
-            components += 1
-            seen.add(start)
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in self._parents[v] | self._children[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
+            if start not in seen:
+                components += 1
+                seen |= self._walk(step, (start,))
         return len(self._edges) == self._d - components
 
     # --- dunder ------------------------------------------------------------

@@ -87,6 +87,8 @@ def _weighted_dag(c) -> tuple[np.ndarray, Dag]:
         raise DimensionMismatch(f"weight matrix must be square, got {C.shape}")
     if not np.all(np.diag(C) == 1.0):
         raise InvalidWeightMatrix("diagonal entries must all equal 1")
+    if not np.all(np.isfinite(C)):
+        raise InvalidWeightMatrix("weight matrix has non-finite entries")
     edges = [(u + 1, v + 1) for v, u in zip(*np.nonzero(C)) if u != v]
     try:
         return C, Dag(d, edges)
@@ -97,8 +99,8 @@ def _weighted_dag(c) -> tuple[np.ndarray, Dag]:
 def validate_weight_matrix(c: np.ndarray) -> np.ndarray:
     """Check the edge-weight matrix invariants and return the validated array.
 
-    Requires a square nonnegative matrix with unit diagonal whose positive
-    off-diagonal pattern is acyclic.
+    Requires a square, finite, nonnegative matrix with unit diagonal whose
+    positive off-diagonal pattern is acyclic.
     """
     return _weighted_dag(c)[0]
 

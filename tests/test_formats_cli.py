@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import maxlinbn
 from maxlinbn import Dag, MissingEdgeWeight, NoiseSpec, gmle_edge_weights
 from maxlinbn.cli import run
 from maxlinbn.formats import (
@@ -198,3 +202,53 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("x1,")
         assert len(lines) == 4
+
+    def test_parser_state_does_not_leak_between_calls(self, tmp_path, diamond_tail, capfd):
+        path = tmp_path / "g.json"
+        save_dag(str(path), diamond_tail)
+        calls = [
+            ["--json", "query", "--dag", str(path), "--left", "2", "--right", "3", "--given", "1"],
+            ["query", "--dag", str(path), "--left", "2", "--right", "3"],
+        ]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(maxlinbn.__file__)))
+        fresh = []
+        for argv in calls:
+            script = f"import sys; from maxlinbn.cli import run; sys.exit(run({argv!r}))"
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0
+            fresh.append(proc.stdout)
+        in_process = []
+        for argv in calls:
+            assert run(argv) == 0
+            in_process.append(capfd.readouterr().out)
+        assert in_process == fresh
+
+    @pytest.mark.parametrize(
+        "command, obj",
+        [
+            ("query", {"d": 3, "edges": 5}),
+            ("query", {"d": 3, "edges": [], "names": 5}),
+            ("query", {"d": 2, "edges": [{"from": 1, "to": 2, "weight": [1]}]}),
+            ("minimize", {"A": [[1]]}),
+            ("minimize", {"B": {"row": 1}}),
+        ],
+    )
+    def test_malformed_json_exits_1_with_one_line(self, tmp_path, capsys, command, obj):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        if command == "query":
+            argv = ["query", "--dag", str(path), "--left", "1", "--right", "2"]
+        else:
+            argv = ["minimize", "--matrix", str(path)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_finite_weight_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text('{"d": 2, "edges": [{"from": 1, "to": 2, "weight": 1e400}]}')
+        assert run(["closure", "--dag", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,39 @@ class TestPathEnumerationOracle:
             g = random_dag(rng, d, p=0.5)
             a, b, s = random_disjoint_triple(rng, d)
             assert d_separated(g, a, b, s) == d_separated_by_paths(g, a, b, s)
+
+
+class TestNetworkxOracle:
+    @staticmethod
+    def digraph(nx, g):
+        G = nx.DiGraph()
+        G.add_nodes_from(range(1, g.d + 1))
+        G.add_edges_from(g.edges)
+        return G
+
+    def test_d_separated_on_set_valued_queries(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            d = int(rng.integers(2, 10))
+            g = random_dag(rng, d, p=float(rng.uniform(0.2, 0.7)))
+            a, b, s = random_disjoint_triple(rng, d, max_side=3, max_cond=4)
+            assert d_separated(g, a, b, s) == nx.is_d_separator(self.digraph(nx, g), a, b, s)
+
+    def test_enumerate_independences(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(73)
+        for _ in range(30):
+            d = int(rng.integers(2, 8))
+            g = random_dag(rng, d, p=float(rng.uniform(0.2, 0.7)))
+            G = self.digraph(nx, g)
+            max_cond = int(rng.integers(0, d - 1))
+            stmts = enumerate_independences(g, max_cond)
+            assert len(stmts) == comb(d, 2) * sum(comb(d - 2, k) for k in range(max_cond + 1))
+            assert len({(s.a, s.b, s.given) for s in stmts}) == len(stmts)
+            for st in stmts:
+                assert st.holds == nx.is_d_separator(G, st.a, st.b, st.given)
+                assert st.holds == m_separated(g, st.a, st.b, st.given)
 
 
 class TestMarkovStatements:

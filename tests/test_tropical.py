@@ -5,6 +5,7 @@ from maxlinbn import (
     Dag,
     DimensionMismatch,
     InvalidWeightMatrix,
+    MaxLinearModel,
     NotAPath,
     SizeLimitExceeded,
     assemble_weight_matrix,
@@ -100,6 +101,14 @@ class TestClosure:
         c[0, 1] = 0.5
         with pytest.raises(InvalidWeightMatrix):
             closure(c)
+
+    def test_non_finite_rejected(self, diamond):
+        c = np.eye(2)
+        c[1, 0] = float("1e400")
+        with pytest.raises(InvalidWeightMatrix):
+            closure(c)
+        with pytest.raises(InvalidWeightMatrix):
+            MaxLinearModel(diamond, {(1, 2): 1e400, (1, 3): 0.8, (2, 4): 0.6, (3, 4): 0.9})
 
     def test_sign_pattern_equals_reachability(self):
         rng = np.random.default_rng(7)
