@@ -21,7 +21,6 @@ from .estimation import (
     ancestor_ratio_coefficients,
     generalized_likelihood_ratio,
     glr_two_node_sample,
-    gmle_coefficients,
     gmle_edge_weights,
     identify_coefficients,
     identify_structure,
@@ -143,7 +142,7 @@ def _cmd_estimate(args) -> int:
     x = formats.read_samples(args.samples)
     if args.estimator == "gmle":
         c_hat = gmle_edge_weights(g, x)
-        b_hat = gmle_coefficients(g, x)
+        b_hat = closure(c_hat)
         _print_matrix(c_hat, "C_hat", args.json)
         _print_matrix(b_hat, "B_hat", args.json)
     else:

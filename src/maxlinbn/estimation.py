@@ -8,6 +8,13 @@ Minima of observed ratios therefore recover coefficients exactly (up to
 floating-point rounding of the ratios themselves) once the atom has been
 hit, which happens at an exponential rate in the sample size.
 
+Every minimum ratio comes from one kernel, ``_min_ratios``: it walks the
+sample one source column ``u`` at a time and takes the minimum of the
+``(n, k)`` block of ratios ``x_v / x_u`` over the ``k`` targets ``v`` a
+pair pattern asks for, so memory stays O(n * d).  ``ratio_statistics``
+asks for every ordered pair, ``gmle_edge_weights`` for the edges and
+``ancestor_ratio_coefficients`` for the ancestor pairs.
+
 ``generalized_likelihood_ratio`` scores two candidate weights for the
 two-vertex chain against an observation via the density of one candidate
 distribution with respect to the sum of both; the minimum-ratio estimate
@@ -60,19 +67,48 @@ class RatioStatistics:
     multiplicity: np.ndarray
 
 
+def _min_ratios(
+    a: np.ndarray, pairs: np.ndarray, atom_rtol: float | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Minimal observed ratio ``x_v / x_u`` for every pair with
+    ``pairs[v-1, u-1]`` set, over the rows of the validated sample ``a``.
+
+    Returns the ``(d, d)`` minima (1 on the diagonal, 0 at pairs not asked
+    for) and, when ``atom_rtol`` is given, how many observations attain
+    each minimum: those with ``y * (1 - atom_rtol) <= min`` (``n`` on the
+    diagonal, 0 at pairs not asked for); otherwise ``None``.  Both are read
+    from one ``(n, k)`` block of ratios per source column.
+    """
+    n, d = a.shape
+    mins = np.eye(d)
+    mult = None if atom_rtol is None else np.diag(np.full(d, n))
+    for u in range(d):
+        targets = np.flatnonzero(pairs[:, u])
+        if targets.size == 0:
+            continue
+        block = a[:, targets]
+        block /= a[:, u : u + 1]
+        m = block.min(axis=0)
+        mins[targets, u] = m
+        if mult is not None:
+            block *= 1.0 - atom_rtol
+            mult[targets, u] = np.count_nonzero(block <= m, axis=0)
+    return mins, mult
+
+
 def ratio_statistics(x, atom_rtol: float = DEFAULT_ATOM_RTOL) -> RatioStatistics:
     """Minimum and its multiplicity for every pairwise ratio column.
 
     An observation counts toward the multiplicity when its ratio ``y``
-    satisfies ``|y - min| <= atom_rtol * max(y, min)``.
+    satisfies ``y * (1 - atom_rtol) <= min``.  ``atom_rtol`` must lie in
+    ``[0, 1)``.  Memory is O(n * d): the ratios are formed one source
+    column at a time, never as an ``(n, d, d)`` tensor.
     """
+    if not 0.0 <= atom_rtol < 1.0:
+        raise ValueError(f"atom_rtol must be finite and in [0, 1), got {atom_rtol}")
     a = _validate_sample(x)
-    n, d = a.shape
-    ratios = a[:, :, None] / a[:, None, :]
-    mins = ratios.min(axis=0)
-    mult = np.sum(ratios * (1.0 - atom_rtol) <= mins[None, :, :], axis=0)
-    np.fill_diagonal(mins, 1.0)
-    np.fill_diagonal(mult, n)
+    d = a.shape[1]
+    mins, mult = _min_ratios(a, ~np.eye(d, dtype=bool), atom_rtol)
     return RatioStatistics(min_ratio=mins, multiplicity=mult)
 
 
@@ -83,10 +119,10 @@ def gmle_edge_weights(g: Dag, x) -> np.ndarray:
     ``x_i / x_j``; the diagonal is 1, non-edges are 0.
     """
     a = _validate_sample(x, g.d)
-    C = np.eye(g.d)
-    for u, v in g.edges:
-        C[v - 1, u - 1] = float(np.min(a[:, v - 1] / a[:, u - 1]))
-    return C
+    edges = np.array(list(g.edges), dtype=int).reshape(-1, 2) - 1
+    pairs = np.zeros((g.d, g.d), dtype=bool)
+    pairs[edges[:, 1], edges[:, 0]] = True
+    return _min_ratios(a, pairs)[0]
 
 
 def gmle_coefficients(g: Dag, x) -> np.ndarray:
@@ -103,11 +139,7 @@ def ancestor_ratio_coefficients(g: Dag, x) -> np.ndarray:
     the closure may combine minima from different observations.
     """
     a = _validate_sample(x, g.d)
-    B = np.eye(g.d)
-    for v in range(1, g.d + 1):
-        for u in g.ancestors(v):
-            B[v - 1, u - 1] = float(np.min(a[:, v - 1] / a[:, u - 1]))
-    return B
+    return _min_ratios(a, g.reach & ~np.eye(g.d, dtype=bool))[0]
 
 
 def _statistics(x, atom_rtol: float) -> RatioStatistics:

@@ -8,14 +8,15 @@ DAG JSON::
 
 ``weight`` entries are optional for graph-only queries.  Matrices are
 written as row-major arrays of numbers.  Samples are CSV with header
-``x1,...,xd`` and one observation per row.  Floats are always written with
-17 significant digits so that values survive a write/read cycle exactly -
+``x1,...,xd`` and one observation per row, written by ``numpy.savetxt``
+and read by ``numpy.loadtxt``.  Floats are always written with 17
+significant digits so that values survive a write/read cycle exactly -
 the estimation code depends on recurring ratios staying bit-identical.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 from typing import Optional, TextIO
 
@@ -97,25 +98,34 @@ def write_samples(path_or_file, x: np.ndarray) -> None:
     else:
         fh = path_or_file
     try:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(1, a.shape[1] + 1)])
-        for row in a:
-            writer.writerow([fmt17(v) for v in row])
+        fh.write(",".join(f"x{j}" for j in range(1, a.shape[1] + 1)) + "\r\n")
+        np.savetxt(fh, a, fmt="%.17g", delimiter=",", newline="\r\n")
     finally:
         if close:
             fh.close()
 
 
 def read_samples(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+    with open(path) as fh:
+        header = fh.readline()
+        if not header:
             raise MaxLinError(f"{path}: empty sample file")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        raise MaxLinError(f"{path}: no observations")
-    return np.asarray(rows, dtype=float)
+        # numpy warns on input without data, so find the first row here
+        first = next((line for line in fh if line.strip()), None)
+        if first is None:
+            raise MaxLinError(f"{path}: no observations")
+        try:
+            x = np.loadtxt(
+                itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2
+            )
+        except ValueError as exc:
+            raise MaxLinError(f"{path}: {exc}") from exc
+    width = len(header.split(","))
+    if x.shape[1] != width:
+        raise MaxLinError(
+            f"{path}: the header names {width} columns, the rows have {x.shape[1]}"
+        )
+    return x
 
 
 def format_table(m: np.ndarray, sig: int = 6) -> str:

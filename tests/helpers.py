@@ -109,3 +109,19 @@ def d_separated_by_paths(g: Dag, a, b, s) -> bool:
         if dfs([start], {start}):
             return False
     return True
+
+
+def dense_ratio_statistics(x, atom_rtol=1e-9):
+    """Oracle for the ratio statistics: the ``(n, d, d)`` broadcast of every
+    pairwise ratio at once (memory ``n * d * d``, small samples only).
+
+    Returns the minima and the multiplicities, ``r * (1 - atom_rtol) <= min``,
+    with 1 and ``n`` on the diagonals.
+    """
+    a = np.asarray(x, dtype=float)
+    ratios = a[:, :, None] / a[:, None, :]
+    mins = ratios.min(axis=0)
+    mult = np.sum(ratios * (1.0 - atom_rtol) <= mins[None, :, :], axis=0)
+    np.fill_diagonal(mins, 1.0)
+    np.fill_diagonal(mult, a.shape[0])
+    return mins, mult

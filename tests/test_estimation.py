@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from maxlinbn import (
     ratio_statistics,
     values_close,
 )
+
+from helpers import dense_ratio_statistics, random_weighted_dag
 
 TWO_NODE_SAMPLE = np.array([[1.0, 0.7], [2.0, 1.5], [1.0, 0.9]])
 
@@ -107,6 +111,70 @@ class TestRatioStatistics:
         stats = ratio_statistics(x)
         assert stats.min_ratio[1, 0] == 2.0
         assert stats.multiplicity[1, 0] == 2
+
+
+class TestMinRatioKernel:
+    """The three minimum-ratio estimators against the dense formula and
+    against ``np.min`` of each pair's ratio column, bit for bit."""
+
+    @staticmethod
+    def samples():
+        rng = np.random.default_rng(31)
+        for i, n in enumerate((1, 2, 3, 40, 200)):
+            for _ in range(4):
+                d = int(rng.integers(1, 9))
+                g, w = random_weighted_dag(rng, d, p=0.5)
+                spec = NoiseSpec.frechet(1.0, i) if i % 2 else NoiseSpec.lognormal(0.0, 2.0, i)
+                yield g, MaxLinearModel(g, w).sample(n, spec)
+
+    @pytest.mark.parametrize("atom_rtol", [0.0, 1e-9, 1e-3, 0.5])
+    def test_ratio_statistics_match_dense_formula(self, atom_rtol):
+        for _, x in self.samples():
+            stats = ratio_statistics(x, atom_rtol)
+            mins, mult = dense_ratio_statistics(x, atom_rtol)
+            assert np.array_equal(stats.min_ratio, mins)
+            assert np.array_equal(stats.multiplicity, mult)
+            assert stats.multiplicity.dtype == mult.dtype
+            d = x.shape[1]
+            for v in range(d):
+                for u in range(d):
+                    if u != v:
+                        assert stats.min_ratio[v, u] == np.min(x[:, v] / x[:, u])
+
+    def test_estimators_match_pairwise_minimum(self):
+        for g, x in self.samples():
+            mins, _ = dense_ratio_statistics(x)
+            c_hat = gmle_edge_weights(g, x)
+            b_tilde = ancestor_ratio_coefficients(g, x)
+            edge = np.zeros((g.d, g.d), dtype=bool)
+            for u, v in g.edges:
+                edge[v - 1, u - 1] = True
+                assert c_hat[v - 1, u - 1] == np.min(x[:, v - 1] / x[:, u - 1])
+            assert np.array_equal(c_hat, np.where(edge, mins, np.eye(g.d)))
+            ancestor = np.asarray(g.reach) & ~np.eye(g.d, dtype=bool)
+            assert np.array_equal(b_tilde, np.where(ancestor, mins, np.eye(g.d)))
+            for v in range(1, g.d + 1):
+                for u in g.ancestors(v):
+                    assert b_tilde[v - 1, u - 1] == np.min(x[:, v - 1] / x[:, u - 1])
+
+    def test_ratio_statistics_memory_is_linear(self):
+        n, d = 2000, 50
+        x = np.random.default_rng(3).lognormal(size=(n, d))
+        tracemalloc.start()
+        try:
+            ratio_statistics(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an (n, d, d) ratio tensor would take n * d * d * 8 bytes
+        assert peak < 4 * n * d * 8
+
+    @pytest.mark.parametrize("atom_rtol", [-1.0, float("nan"), 1.0, float("inf")])
+    def test_atom_rtol_outside_unit_interval_rejected(self, atom_rtol):
+        with pytest.raises(ValueError, match="atom_rtol"):
+            ratio_statistics(TWO_NODE_SAMPLE, atom_rtol)
+        with pytest.raises(ValueError, match="atom_rtol"):
+            identify_coefficients(TWO_NODE_SAMPLE, atom_rtol)
 
 
 class TestIdentify:

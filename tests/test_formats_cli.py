@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 import maxlinbn
-from maxlinbn import Dag, MissingEdgeWeight, NoiseSpec, gmle_edge_weights
+from maxlinbn import Dag, MaxLinError, MissingEdgeWeight, NoiseSpec, gmle_edge_weights
 from maxlinbn.cli import run
 from maxlinbn.formats import (
     dag_from_dict,
@@ -21,6 +23,16 @@ from maxlinbn.formats import (
 )
 
 from conftest import DIAMOND_WEIGHTS
+
+
+def csv_writer_reference(x) -> str:
+    """Sample CSV as ``csv.writer`` writes it with ``fmt17`` cells."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([f"x{j}" for j in range(1, x.shape[1] + 1)])
+    for row in x:
+        writer.writerow([fmt17(v) for v in row])
+    return buf.getvalue()
 
 
 @pytest.fixture
@@ -61,6 +73,66 @@ class TestFormats:
         path = tmp_path / "s.csv"
         write_samples(str(path), x)
         assert np.array_equal(read_samples(str(path)), x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([[5e-324, 1.7976931348623157e308, 0.1], [1.0, 2.5e-310, 0.7200000000000001]]),
+            np.array([[0.30000000000000004]]),
+            np.arange(1.0, 7.0).reshape(6, 1) / 3.0,
+            np.exp(np.random.default_rng(4).normal(size=(50, 7)) * 30.0),
+        ],
+    )
+    def test_sample_csv_matches_csv_writer_bytes(self, tmp_path, x):
+        expected = csv_writer_reference(x)
+        path = tmp_path / "s.csv"
+        write_samples(str(path), x)
+        assert path.read_bytes() == expected.encode()
+        buf = io.StringIO()
+        write_samples(buf, x)
+        assert buf.getvalue() == expected
+        y = read_samples(str(path))
+        assert y.dtype == np.float64 and np.array_equal(y, x)
+
+    def test_sample_csv_tolerates_blank_lines_and_spaces(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("x1,x2\n\n 1.5 , 2\r\n\n3,4e-3")
+        assert np.array_equal(read_samples(str(path)), [[1.5, 2.0], [3.0, 4e-3]])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty sample file"),
+            ("x1,x2\r\n", "no observations"),
+            ("x1,x2\r\n\r\n\r\n", "no observations"),
+            ("x1,x2\r\n1,abc\r\n", "abc"),
+            ("x1,x2\r\n1,2\r\n3\r\n", "number of columns"),
+            ("x1,x2,x3\r\n1,2\r\n3,4\r\n", "header names 3 columns, the rows have 2"),
+            ("x1\r\n1,2\r\n", "header names 1 columns, the rows have 2"),
+        ],
+    )
+    def test_malformed_sample_csv_rejected(self, tmp_path, recwarn, text, message):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(MaxLinError, match=message) as info:
+            read_samples(str(path))
+        assert str(path) in str(info.value)
+        assert len(recwarn) == 0
+
+    def test_sample_csv_roundtrip_property(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+        path = str(tmp_path / "s.csv")
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+        @hypothesis.settings(max_examples=50, deadline=None)
+        @hypothesis.given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2), elements=positive))
+        def roundtrip(x):
+            write_samples(path, x)
+            assert np.array_equal(read_samples(path), x)
+
+        roundtrip()
 
     def test_fmt17_roundtrips(self):
         for v in (0.1, 0.7200000000000001, 1e-300, 123456.789):
@@ -167,6 +239,29 @@ class TestCli:
         obj = json.loads(capsys.readouterr().out)
         assert {(e["from"], e["to"]) for e in obj["dag"]["edges"]} == set(DIAMOND_WEIGHTS)
         assert np.asarray(obj["multiplicity"]).shape == (4, 4)
+
+    @pytest.mark.parametrize("atom_rtol", ["-1", "nan", "1.0"])
+    def test_learn_rejects_atom_rtol_outside_unit_interval(self, tmp_path, capsys, atom_rtol):
+        csv_path = tmp_path / "s.csv"
+        write_samples(str(csv_path), np.array([[1.0, 0.5], [2.0, 1.0], [3.0, 2.0]]))
+        assert run(["learn", "--samples", str(csv_path), "--atom-rtol", atom_rtol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: atom_rtol") and captured.err.count("\n") == 1
+        assert run(["--json", "learn", "--samples", str(csv_path), "--atom-rtol", "0.0"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["multiplicity"] == [[3, 1], [2, 3]]
+
+    @pytest.mark.parametrize(
+        "text", ["", "x1,x2\r\n", "x1,x2\r\n1,abc\r\n", "x1,x2\r\n1,2\r\n3\r\n", "x1,x2,x3\r\n1,2\r\n"]
+    )
+    def test_malformed_sample_csv_exits_1_with_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        assert run(["learn", "--samples", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_glr2_point_and_sample(self, tmp_path, capsys):
         assert run(["--json", "glr2", "--c", "0.9", "--c-star", "0.7", "--x1", "1.0", "--x2", "0.9"]) == 0
