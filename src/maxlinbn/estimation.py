@@ -78,21 +78,42 @@ def _min_ratios(
     each minimum: those with ``y * (1 - atom_rtol) <= min`` (``n`` on the
     diagonal, 0 at pairs not asked for); otherwise ``None``.  Both are read
     from one ``(n, k)`` block of ratios per source column.
+
+    Every block is a view of one buffer as wide as the widest block, and
+    every result lands in a slice of a per-pair vector, so the loop
+    allocates no array data.  numpy keeps freed buffers under 1 KiB for
+    reuse, and per-source arrays of ``k`` entries would pin one such buffer
+    per distinct ``k`` wherever the heap had room, splitting the free space
+    that larger arrays reuse.
     """
     n, d = a.shape
-    mins = np.eye(d)
-    mult = None if atom_rtol is None else np.diag(np.full(d, n))
+    # the pairs, grouped by source; contiguous, so np.take copies no index
+    sources, targets = np.divmod(np.flatnonzero(pairs.T), d)
+    bounds = np.searchsorted(sources, np.arange(d + 1))
+    width = int(np.diff(bounds).max(initial=0))
+    pair_min = np.empty(sources.size)
+    pair_mult = None if atom_rtol is None else np.empty(sources.size, dtype=np.intp)
+    ratios = np.empty(n * width)
+    attained = None if atom_rtol is None else np.empty(n * width, dtype=bool)
     for u in range(d):
-        targets = np.flatnonzero(pairs[:, u])
-        if targets.size == 0:
+        lo, hi = bounds[u], bounds[u + 1]
+        if lo == hi:
             continue
-        block = a[:, targets]
+        block = ratios[: n * (hi - lo)].reshape(n, hi - lo)
+        # "clip" writes straight into the block; the indices are in range
+        np.take(a, targets[lo:hi], axis=1, out=block, mode="clip")
         block /= a[:, u : u + 1]
-        m = block.min(axis=0)
-        mins[targets, u] = m
-        if mult is not None:
+        m = np.min(block, axis=0, out=pair_min[lo:hi])
+        if pair_mult is not None:
             block *= 1.0 - atom_rtol
-            mult[targets, u] = np.count_nonzero(block <= m, axis=0)
+            hits = np.less_equal(block, m, out=attained[: block.size].reshape(block.shape))
+            np.sum(hits, axis=0, out=pair_mult[lo:hi])
+    mins = np.eye(d)
+    mins[targets, sources] = pair_min
+    if pair_mult is None:
+        return mins, None
+    mult = np.diag(np.full(d, n))
+    mult[targets, sources] = pair_mult
     return mins, mult
 
 

@@ -9,14 +9,14 @@ DAG JSON::
 ``weight`` entries are optional for graph-only queries.  Matrices are
 written as row-major arrays of numbers.  Samples are CSV with header
 ``x1,...,xd`` and one observation per row, written by ``numpy.savetxt``
-and read by ``numpy.loadtxt``.  Floats are always written with 17
+and read by the ``csv`` module.  Floats are always written with 17
 significant digits so that values survive a write/read cycle exactly -
 the estimation code depends on recurring ratios staying bit-identical.
 """
 
 from __future__ import annotations
 
-import itertools
+import csv
 import json
 from typing import Optional, TextIO
 
@@ -106,26 +106,29 @@ def write_samples(path_or_file, x: np.ndarray) -> None:
 
 
 def read_samples(path: str) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline()
-        if not header:
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise MaxLinError(f"{path}: empty sample file")
-        # numpy warns on input without data, so find the first row here
-        first = next((line for line in fh if line.strip()), None)
-        if first is None:
-            raise MaxLinError(f"{path}: no observations")
         try:
-            x = np.loadtxt(
-                itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2
-            )
+            rows = [[float(v) for v in row] for row in reader if row]
         except ValueError as exc:
             raise MaxLinError(f"{path}: {exc}") from exc
-    width = len(header.split(","))
-    if x.shape[1] != width:
+    if not rows:
+        raise MaxLinError(f"{path}: no observations")
+    width = len(rows[0])
+    for k, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise MaxLinError(
+                f"{path}: the number of columns changed from {width} to {len(row)}"
+                f" at observation {k}"
+            )
+    if len(header) != width:
         raise MaxLinError(
-            f"{path}: the header names {width} columns, the rows have {x.shape[1]}"
+            f"{path}: the header names {len(header)} columns, the rows have {width}"
         )
-    return x
+    return np.asarray(rows, dtype=float)
 
 
 def format_table(m: np.ndarray, sig: int = 6) -> str:
