@@ -74,4 +74,4 @@ class NonPositiveSample(MaxLinError):
 
 
 class NonPositiveInput(MaxLinError):
-    """A scalar input that must be strictly positive is not."""
+    """A scalar input that must be strictly positive and finite is not."""

@@ -233,8 +233,11 @@ def generalized_likelihood_ratio(
     Equalities are decided within ``rtol``.
     """
     x1, x2 = float(x[0]), float(x[1])
-    if not (c > 0 and c_star > 0 and x1 > 0 and x2 > 0):
-        raise NonPositiveInput("weights and observation coordinates must be > 0")
+    if not all(0 < t < np.inf for t in (c, c_star, x1, x2)):
+        raise NonPositiveInput(
+            "weights and observation coordinates must be positive and finite,"
+            f" got c={c}, c_star={c_star}, x=({x1}, {x2})"
+        )
     if c < c_star and not values_close(c, c_star, rtol):
         raise ValueError(f"candidates must be ordered c >= c_star, got {c} < {c_star}")
     t = c * x1
@@ -277,8 +280,8 @@ def glr_two_node_sample(
     Returns ``(rho_hat_vs_c, rho_c_vs_hat, c_hat)``; the first never falls
     below the second, which is what makes ``c_hat`` the estimate of choice.
     """
-    if not c > 0:
-        raise NonPositiveInput(f"candidate weight must be > 0, got {c}")
+    if not 0 < c < np.inf:
+        raise NonPositiveInput(f"candidate weight must be positive and finite, got {c}")
     a = _validate_sample(x)
     if a.shape[1] != 2:
         raise DimensionMismatch(f"need a two-column sample, got {a.shape[1]} columns")

@@ -8,10 +8,11 @@ DAG JSON::
 
 ``weight`` entries are optional for graph-only queries.  Matrices are
 written as row-major arrays of numbers.  Samples are CSV with header
-``x1,...,xd`` and one observation per row, written by ``numpy.savetxt``
-and read by the ``csv`` module.  Floats are always written with 17
-significant digits so that values survive a write/read cycle exactly -
-the estimation code depends on recurring ratios staying bit-identical.
+``x1,...,xd`` and one observation per row, written a block of rows per
+``%`` formatting operation and read by the ``csv`` module.  Floats are
+always written with 17 significant digits so that values survive a
+write/read cycle exactly - the estimation code depends on recurring
+ratios staying bit-identical.
 """
 
 from __future__ import annotations
@@ -89,8 +90,13 @@ def matrix_to_rows(m: np.ndarray) -> list[list[float]]:
     return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
 
 
+#: Values formatted per ``%`` operation when writing a sample CSV.
+_BLOCK_VALUES = 4096
+
+
 def write_samples(path_or_file, x: np.ndarray) -> None:
     a = np.asarray(x, dtype=float)
+    d = a.shape[1]
     close = False
     if isinstance(path_or_file, str):
         fh: TextIO = open(path_or_file, "w", newline="")
@@ -98,8 +104,12 @@ def write_samples(path_or_file, x: np.ndarray) -> None:
     else:
         fh = path_or_file
     try:
-        fh.write(",".join(f"x{j}" for j in range(1, a.shape[1] + 1)) + "\r\n")
-        np.savetxt(fh, a, fmt="%.17g", delimiter=",", newline="\r\n")
+        fh.write(",".join(f"x{j}" for j in range(1, d + 1)) + "\r\n")
+        row = ",".join(["%.17g"] * d) + "\r\n"
+        k = max(1, _BLOCK_VALUES // max(d, 1))
+        for start in range(0, a.shape[0], k):
+            block = a[start : start + k]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
     finally:
         if close:
             fh.close()

@@ -125,3 +125,20 @@ def dense_ratio_statistics(x, atom_rtol=1e-9):
     np.fill_diagonal(mins, 1.0)
     np.fill_diagonal(mult, a.shape[0])
     return mins, mult
+
+
+def noise_matrix_by_rows(spec, n, d):
+    """Oracle for ``noise_matrix``: one ``default_rng((seed % 2**64, nu))``
+    per row, drawing that row's ``d`` values on its own."""
+    z = np.empty((n, d))
+    for nu in range(n):
+        rng = np.random.default_rng((spec.seed % 2**64, nu))
+        if spec.family == "frechet":
+            (alpha,) = spec.params
+            u = rng.random(d)
+            u[u == 0.0] = np.nextafter(0.0, 1.0)
+            z[nu] = (-np.log(u)) ** (-1.0 / alpha)
+        else:
+            mu, sigma = spec.params
+            z[nu] = rng.lognormal(mu, sigma, d)
+    return z

@@ -283,6 +283,22 @@ class TestGlrPointwise:
         with pytest.raises(ValueError):
             generalized_likelihood_ratio(0.7, 0.9, (1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "c, c_star, x",
+        [
+            (np.inf, 1.0, (1.0, 2.0)),
+            (np.inf, np.inf, (1.0, 2.0)),
+            (np.nan, 0.7, (1.0, 1.0)),
+            (0.9, np.nan, (1.0, 1.0)),
+            (0.9, 0.7, (np.inf, 1.0)),
+            (0.9, 0.7, (1.0, np.inf)),
+            (0.9, 0.7, (1.0, np.nan)),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, c, c_star, x):
+        with pytest.raises(NonPositiveInput, match="finite"):
+            generalized_likelihood_ratio(c, c_star, x)
+
 
 class TestGlrSample:
     def test_candidate_on_observed_ratio(self):
@@ -322,3 +338,14 @@ class TestGlrSample:
     def test_positive_candidate_required(self):
         with pytest.raises(NonPositiveInput):
             glr_two_node_sample(0.0, TWO_NODE_SAMPLE)
+
+    @pytest.mark.parametrize("c", [np.inf, np.nan])
+    def test_finite_candidate_required(self, c):
+        with pytest.raises(NonPositiveInput, match="finite"):
+            glr_two_node_sample(c, TWO_NODE_SAMPLE)
+
+    def test_finite_observations_required(self):
+        x = np.array(TWO_NODE_SAMPLE, dtype=float)
+        x[1, 1] = np.inf
+        with pytest.raises(NonPositiveSample):
+            glr_two_node_sample(0.8, x)

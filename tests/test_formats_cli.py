@@ -273,6 +273,43 @@ class TestCli:
         obj = json.loads(capsys.readouterr().out)
         assert obj == {"rho_hat_vs_c": 0.5, "rho_c_vs_hat": 0.0, "c_hat": 0.7}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--c", "inf", "--c-star", "1", "--x1", "1", "--x2", "2"],
+            ["--c", "1", "--c-star", "nan", "--x1", "1", "--x2", "2"],
+            ["--c", "1", "--c-star", "0.5", "--x1", "inf", "--x2", "2"],
+            ["--c", "inf", "--samples", "TWO_CSV"],
+        ],
+    )
+    def test_glr2_non_finite_input_exits_1_with_one_line(self, tmp_path, capsys, argv):
+        csv_path = tmp_path / "two.csv"
+        write_samples(str(csv_path), np.array([[1.0, 0.7], [2.0, 1.5]]))
+        argv = [str(csv_path) if a == "TWO_CSV" else a for a in argv]
+        assert run(["glr2", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            ["--alpha", "inf"],
+            ["--alpha", "nan"],
+            ["--alpha", "1e-300"],
+            ["--noise", "lognormal", "--mu", "nan"],
+            ["--noise", "lognormal", "--sigma", "inf"],
+            ["--noise", "lognormal", "--sigma", "1e308"],
+        ],
+    )
+    def test_sample_without_support_exits_1_with_one_line(self, tmp_path, diamond_json, capsys, noise):
+        out = tmp_path / "x.csv"
+        argv = ["sample", "--model", diamond_json, "--n", "50", "--seed", "1", "--out", str(out)]
+        assert run(argv + noise) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_domain_error_exits_1(self, tmp_path, capsys):
         path = tmp_path / "cyclic.json"
         path.write_text(json.dumps({"d": 2, "edges": [{"from": 1, "to": 2}, {"from": 2, "to": 1}]}))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from maxlinbn import (
     IncompatibleDag,
     InvalidCoefficientMatrix,
     InvalidWeightMatrix,
+    MaxLinError,
     MaxLinearModel,
     MissingEdgeWeight,
     NoiseSpec,
@@ -26,7 +28,9 @@ from maxlinbn import (
     propagate,
 )
 
-from helpers import random_polytree, random_weighted_dag, log_uniform
+from maxlinbn.model import _substream_states
+
+from helpers import log_uniform, noise_matrix_by_rows, random_polytree, random_weighted_dag
 
 
 class TestConstruction:
@@ -175,6 +179,60 @@ class TestSampling:
             NoiseSpec.lognormal(0.0, 0.0, 1)
         with pytest.raises(ValueError):
             NoiseSpec("uniform", (0.0, 1.0), 1)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ("frechet", (np.inf,)),
+            ("frechet", (np.nan,)),
+            ("lognormal", (np.nan, 1.0)),
+            ("lognormal", (-np.inf, 1.0)),
+            ("lognormal", (0.0, np.inf)),
+            ("lognormal", (0.0, np.nan)),
+        ],
+    )
+    def test_noise_spec_rejects_non_finite_parameters(self, spec):
+        family, params = spec
+        with pytest.raises(MaxLinError, match="must be finite"):
+            NoiseSpec(family, params, 1)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            NoiseSpec.frechet(1e-300, 1),
+            NoiseSpec.lognormal(0.0, 1e308, 1),
+            NoiseSpec.lognormal(1e308, 1.0, 1),
+            NoiseSpec.lognormal(-1e308, 1.0, 1),
+        ],
+    )
+    def test_draws_outside_the_support_rejected(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MaxLinError, match=r"NoiseSpec\(.*outside \(0, inf\)"):
+                noise_matrix(spec, 20, 3)
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 42, 2**32 - 1, 2**32, -1, 2**63 + 5, 2**64 - 1, 2**70 + 3]
+    )
+    def test_noise_matrix_equals_one_generator_per_row(self, seed):
+        specs = [
+            NoiseSpec.frechet(1.0, seed),
+            NoiseSpec.frechet(2.5, seed),
+            NoiseSpec.frechet(0.5, seed),
+            NoiseSpec.lognormal(0.3, 1.7, seed),
+        ]
+        for spec in specs:
+            for n in (1, 2, 257):
+                assert np.array_equal(noise_matrix(spec, n, 7), noise_matrix_by_rows(spec, n, 7))
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_substream_states_past_two_to_the_32_rows(self, seed):
+        nu = [0, 2**32 - 1, 2**32, 2**32 + 7, 2**63, 2**64 - 1]
+        expected = []
+        for v in nu:
+            state = np.random.PCG64(np.random.SeedSequence((seed % 2**64, v))).state["state"]
+            expected.append((state["state"], state["inc"]))
+        assert list(_substream_states(seed, np.array(nu, dtype=np.uint64))) == expected
 
 
 class TestMinimalDag:
