@@ -18,6 +18,7 @@ import numpy as np
 from . import formats
 from .errors import MaxLinError
 from .estimation import (
+    DEFAULT_ATOM_RTOL,
     ancestor_ratio_coefficients,
     generalized_likelihood_ratio,
     glr_two_node_sample,
@@ -246,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="identify coefficients and structure from samples")
     p.add_argument("--samples", required=True)
-    p.add_argument("--atom-rtol", type=float, default=1e-9)
+    p.add_argument("--atom-rtol", type=float, default=DEFAULT_ATOM_RTOL)
     p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("glr2", help="two-vertex generalized likelihood ratios")

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .graph import Dag
 from .model import minimal_dag
-from .tropical import DEFAULT_RTOL, closure, values_close
+from .tropical import closure, values_close
 
 #: Relative tolerance for deciding that two observed ratios hit the same atom.
 DEFAULT_ATOM_RTOL = 1e-9
@@ -193,7 +193,7 @@ def identify_coefficients(x, atom_rtol: float = DEFAULT_ATOM_RTOL) -> np.ndarray
 
 
 def identify_structure(
-    x, atom_rtol: float = DEFAULT_ATOM_RTOL, rtol: float = DEFAULT_RTOL
+    x, atom_rtol: float = DEFAULT_ATOM_RTOL
 ) -> tuple[Dag, dict[tuple[int, int], float]]:
     """Minimal DAG and edge weights identified from a sample alone.
 
@@ -203,7 +203,7 @@ def identify_structure(
     reachability relation of any DAG; that raises
     :class:`InvalidCoefficientMatrix` rather than being repaired silently.
     """
-    return minimal_dag(identify_coefficients(x, atom_rtol), rtol)
+    return minimal_dag(identify_coefficients(x, atom_rtol))
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ class GlrVerdict:
 
 
 def generalized_likelihood_ratio(
-    c: float, c_star: float, x: tuple[float, float], rtol: float = DEFAULT_RTOL
+    c: float, c_star: float, x: tuple[float, float]
 ) -> GlrVerdict:
     """Both generalized likelihood ratios for one observation of the
     two-vertex chain ``1 -> 2``.
@@ -230,7 +230,7 @@ def generalized_likelihood_ratio(
       ``[c_star * x1, c * x1)``, 0 below;
     * equal candidates: both ratios are ``1/2`` iff ``x2 >= c * x1``.
 
-    Equalities are decided within ``rtol``.
+    Equalities are decided by :func:`~maxlinbn.tropical.values_close`.
     """
     x1, x2 = float(x[0]), float(x[1])
     if not all(0 < t < np.inf for t in (c, c_star, x1, x2)):
@@ -238,11 +238,11 @@ def generalized_likelihood_ratio(
             "weights and observation coordinates must be positive and finite,"
             f" got c={c}, c_star={c_star}, x=({x1}, {x2})"
         )
-    if c < c_star and not values_close(c, c_star, rtol):
+    if c < c_star and not values_close(c, c_star):
         raise ValueError(f"candidates must be ordered c >= c_star, got {c} < {c_star}")
     t = c * x1
-    on_t = values_close(x2, t, rtol)
-    if values_close(c, c_star, rtol):
+    on_t = values_close(x2, t)
+    if values_close(c, c_star):
         rho = 0.5 if (x2 > t or on_t) else 0.0
         return GlrVerdict(rho, rho)
     if on_t:
@@ -256,16 +256,14 @@ def generalized_likelihood_ratio(
         bwd = 0.0
     elif x2 > t:
         bwd = 0.5
-    elif x2 > t_star or values_close(x2, t_star, rtol):
+    elif x2 > t_star or values_close(x2, t_star):
         bwd = 1.0
     else:
         bwd = 0.0
     return GlrVerdict(fwd, bwd)
 
 
-def glr_two_node_sample(
-    c: float, x, rtol: float = DEFAULT_RTOL
-) -> tuple[float, float, float]:
+def glr_two_node_sample(c: float, x) -> tuple[float, float, float]:
     """Sample-level generalized likelihood ratios for the two-vertex chain.
 
     Compares the minimum-ratio estimate ``c_hat = min x2/x1`` against an
@@ -277,8 +275,10 @@ def glr_two_node_sample(
       ``c == c_hat``, and ``2**-n_plus(c_hat)`` if ``c < c_hat``;
     * ``rho(c, c_hat)`` is ``2**-n`` at ``c == c_hat`` and 0 elsewhere.
 
-    Returns ``(rho_hat_vs_c, rho_c_vs_hat, c_hat)``; the first never falls
-    below the second, which is what makes ``c_hat`` the estimate of choice.
+    Equalities, the one behind "strictly" included, are decided by
+    :func:`~maxlinbn.tropical.values_close`.  Returns ``(rho_hat_vs_c,
+    rho_c_vs_hat, c_hat)``; the first never falls below the second, which
+    is what makes ``c_hat`` the estimate of choice.
     """
     if not 0 < c < np.inf:
         raise NonPositiveInput(f"candidate weight must be positive and finite, got {c}")
@@ -288,15 +288,14 @@ def glr_two_node_sample(
     y = a[:, 1] / a[:, 0]
     n = y.size
     c_hat = float(y.min())
-    near = np.abs(y - c) <= rtol * np.maximum(np.abs(y), abs(c))
-    if values_close(c, c_hat, rtol):
+    if values_close(c, c_hat):
         rho_fwd = 2.0 ** -n
         rho_bwd = 2.0 ** -n
     elif c > c_hat:
-        rho_fwd = 0.0 if bool(near.any()) else 2.0 ** -int(np.sum(y > c))
+        rho_fwd = 0.0 if values_close(y, c).any() else 2.0 ** -int(np.sum(y > c))
         rho_bwd = 0.0
     else:
-        n_plus_hat = int(np.sum((y > c_hat) & ~(np.abs(y - c_hat) <= rtol * y)))
+        n_plus_hat = int(np.sum((y > c_hat) & ~values_close(y, c_hat)))
         rho_fwd = 2.0 ** -n_plus_hat
         rho_bwd = 0.0
     assert rho_fwd >= rho_bwd

@@ -34,7 +34,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .graph import Dag, Edge
-from .tropical import DEFAULT_RTOL, _sweep, closure, values_close
+from .tropical import _sweep, closure, max_times_product, values_close
 
 
 class WeightKind(enum.Enum):
@@ -303,6 +303,8 @@ def _validate_coefficients(b) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"coefficient matrix must be square, got {B.shape}")
     if np.any(B < 0) or np.any(np.isnan(B)):
         raise InvalidCoefficientMatrix("negative or NaN entries")
+    if not np.all(np.isfinite(B)):
+        raise InvalidCoefficientMatrix("coefficient matrix has non-finite entries")
     if not np.all(np.diag(B) == 1.0):
         raise InvalidCoefficientMatrix("diagonal entries must all equal 1")
     R = B > 0
@@ -313,29 +315,25 @@ def _validate_coefficients(b) -> tuple[np.ndarray, np.ndarray]:
     return B, R
 
 
-def minimal_dag(b, rtol: float = DEFAULT_RTOL) -> tuple[Dag, dict[Edge, float]]:
+def minimal_dag(b) -> tuple[Dag, dict[Edge, float]]:
     """Edge-minimal DAG and weights reproducing a coefficient matrix.
 
     An edge ``u -> v`` survives exactly when its coefficient beats every
     two-step composition: ``b_vu > max_k b_vk * b_ku`` over ``k`` distinct
-    from ``u`` and ``v``.  A composition matching ``b_vu`` within ``rtol``
-    means an alternative best-weight path exists, so the edge is dropped.
-    Weights of kept edges are pinned to the coefficients themselves.
+    from ``u`` and ``v``.  With ``off`` the matrix ``b`` with its diagonal
+    set to 0, those compositions are the max-times product
+    ``off (x) off``, where ``k = u`` and ``k = v`` contribute 0.  A
+    composition that :func:`values_close` calls equal to ``b_vu`` means an
+    alternative best-weight path exists, so the edge is dropped.  Weights
+    of kept edges are pinned to the coefficients themselves.
     """
     B, R = _validate_coefficients(b)
-    d = B.shape[0]
-    edges: dict[Edge, float] = {}
-    for v in range(d):
-        for u in range(d):
-            if u == v or not R[v, u]:
-                continue
-            through = B[v, :] * B[:, u]
-            through[u] = through[v] = 0.0
-            best = float(through.max())
-            bvu = float(B[v, u])
-            if best < bvu and not values_close(best, bvu, rtol):
-                edges[(u + 1, v + 1)] = bvu
-    g = Dag(d, edges.keys())
+    off = B.copy()
+    np.fill_diagonal(off, 0.0)
+    best = max_times_product(off, off)
+    keep = (off > best) & ~values_close(best, off)
+    edges = {(u + 1, v + 1): float(B[v, u]) for v, u in np.argwhere(keep).tolist()}
+    g = Dag(B.shape[0], edges.keys())
     if not np.array_equal(g.reach, R):
         raise InvalidCoefficientMatrix(
             "entry values are inconsistent with the sign pattern"
@@ -343,9 +341,7 @@ def minimal_dag(b, rtol: float = DEFAULT_RTOL) -> tuple[Dag, dict[Edge, float]]:
     return g, edges
 
 
-def admissible_weights(
-    b, g: Dag, rtol: float = DEFAULT_RTOL
-) -> dict[Edge, tuple[WeightKind, float]]:
+def admissible_weights(b, g: Dag) -> dict[Edge, tuple[WeightKind, float]]:
     """Constraints on each edge weight of ``g`` for it to carry the model
     with coefficient matrix ``b``.
 
@@ -354,12 +350,12 @@ def admissible_weights(
     ``(0, b_vu)`` (``OPEN_INTERVAL`` with that upper bound).  ``g`` must
     contain the minimal DAG and induce the same reachability.
     """
-    B, R = _validate_coefficients(b)
-    if g.d != B.shape[0]:
+    minimal, _ = minimal_dag(b)
+    B = np.asarray(b, dtype=float)
+    if g.d != minimal.d:
         raise DimensionMismatch(f"matrix {B.shape} vs d={g.d}")
-    if not np.array_equal(g.reach, R):
+    if not np.array_equal(g.reach, minimal.reach):
         raise IncompatibleDag("reachability differs from the coefficient sign pattern")
-    minimal, _ = minimal_dag(B, rtol)
     missing = minimal.edges - g.edges
     if missing:
         raise IncompatibleDag(f"required minimal edges absent: {sorted(missing)}")

@@ -1,21 +1,23 @@
 """Matrix algebra over the max-times semiring ``([0, inf), max, *)``.
 
 The additive identity is 0 ("no path"), the multiplicative identity is 1.
-``max_times_product`` is matrix multiplication over this semiring.  The
-model's recursion ``X_v = max(Z_v, max_{u in pa(v)} c_vu X_u)`` is
-evaluated in one place, a sweep along a well-ordering of the weight
-matrix's positive pattern: ``closure`` applies it to the unit vectors and
-``model.propagate`` to noise rows.  ``brute_force_coefficients`` recomputes
-the closure by exhaustive path enumeration and exists as an independent
-oracle for it.
+``max_times_product`` is matrix multiplication over this semiring;
+``model.minimal_dag`` takes one such product to compare every coefficient
+with its best two-step composition.  The model's recursion
+``X_v = max(Z_v, max_{u in pa(v)} c_vu X_u)`` is evaluated in one place, a
+sweep along a well-ordering of the weight matrix's positive pattern:
+``closure`` applies it to the unit vectors and ``model.propagate`` to noise
+rows.  ``brute_force_coefficients`` recomputes the closure by exhaustive
+path enumeration and exists as an independent oracle for it.
 
 Matrix convention: row index is the target vertex, column index the source,
 so ``M[v-1, u-1]`` carries the weight attached to ``u -> v``.
 
 Equality of path weights is never exact in floating point (products of the
 same weights associate differently), so every tie or equality decision in
-this package goes through :func:`values_close` with a single relative
-tolerance ``DEFAULT_RTOL``.
+this package goes through :func:`values_close` with the single relative
+tolerance ``DEFAULT_RTOL``; no function that decides one takes a tolerance
+of its own.
 """
 
 from __future__ import annotations
@@ -37,9 +39,15 @@ from .graph import Dag
 DEFAULT_RTOL = 1e-9
 
 
-def values_close(x: float, y: float, rtol: float = DEFAULT_RTOL) -> bool:
-    """Relative closeness: ``|x - y| <= rtol * max(|x|, |y|)``."""
-    return abs(x - y) <= rtol * max(abs(x), abs(y))
+def values_close(x, y, rtol: float = DEFAULT_RTOL):
+    """Relative closeness ``|x - y| <= rtol * max(|x|, |y|)``, elementwise.
+
+    ``x`` and ``y`` are numbers or arrays that broadcast together; the
+    result is a numpy bool or a bool array of the broadcast shape.  The
+    package decides every tie here at ``DEFAULT_RTOL``; ``rtol`` lets
+    :func:`matrices_close` compare at another tolerance.
+    """
+    return np.abs(x - y) <= rtol * np.maximum(np.abs(x), np.abs(y))
 
 
 def matrices_close(f: np.ndarray, g: np.ndarray, rtol: float = DEFAULT_RTOL) -> bool:
@@ -48,7 +56,7 @@ def matrices_close(f: np.ndarray, g: np.ndarray, rtol: float = DEFAULT_RTOL) -> 
     g = np.asarray(g, dtype=float)
     if f.shape != g.shape:
         return False
-    return bool(np.all(np.abs(f - g) <= rtol * np.maximum(np.abs(f), np.abs(g))))
+    return bool(np.all(values_close(f, g, rtol)))
 
 
 def _as_matrix(m, name: str) -> np.ndarray:
@@ -96,21 +104,13 @@ def _weighted_dag(c) -> tuple[np.ndarray, Dag]:
         raise InvalidWeightMatrix(f"positive pattern is cyclic: {exc}") from exc
 
 
-def validate_weight_matrix(c: np.ndarray) -> np.ndarray:
-    """Check the edge-weight matrix invariants and return the validated array.
-
-    Requires a square, finite, nonnegative matrix with unit diagonal whose
-    positive off-diagonal pattern is acyclic.
-    """
-    return _weighted_dag(c)[0]
-
-
 def _sweep(c, z=None) -> np.ndarray:
     """The max-linear recursion of the weight matrix ``c``, pushed through
     the rows of ``z`` (the identity when ``None``).
 
-    Validates ``c`` like :func:`validate_weight_matrix`, then visits the
-    vertices along the well-ordering of its positive pattern and sets
+    Requires ``c`` square, finite and nonnegative with unit diagonal and an
+    acyclic positive off-diagonal pattern, then visits the vertices along
+    the well-ordering of that pattern and sets
     ``x_v = max(z_v, max_{u in pa(v)} c_vu * x_u)``.  Returns the result
     transposed, shape ``(d, n)``: row ``v - 1`` holds vertex ``v`` across
     the ``n`` rows of ``z``.  Every entry is a maximum of path products

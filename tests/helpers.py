@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from maxlinbn import Dag
+from maxlinbn import Dag, values_close
 
 
 def log_uniform(rng, lo=1e-2, hi=1e2) -> float:
@@ -109,6 +109,27 @@ def d_separated_by_paths(g: Dag, a, b, s) -> bool:
         if dfs([start], {start}):
             return False
     return True
+
+
+def minimal_dag_by_pairs(b):
+    """Oracle for ``minimal_dag`` on a valid coefficient matrix: compares
+    each ordered pair's coefficient with its best two-step composition, one
+    pair at a time.  Returns the DAG and the weights of its edges, in
+    row-major order of ``(v, u)``."""
+    B = np.asarray(b, dtype=float)
+    d = B.shape[0]
+    edges = {}
+    for v in range(d):
+        for u in range(d):
+            if u == v or B[v, u] <= 0:
+                continue
+            through = B[v, :] * B[:, u]
+            through[u] = through[v] = 0.0
+            best = float(through.max())
+            bvu = float(B[v, u])
+            if best < bvu and not values_close(best, bvu):
+                edges[(u + 1, v + 1)] = bvu
+    return Dag(d, edges.keys()), edges
 
 
 def dense_ratio_statistics(x, atom_rtol=1e-9):

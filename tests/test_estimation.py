@@ -271,6 +271,11 @@ class TestGlrPointwise:
         assert v.rho_forward == rho
         assert v.rho_backward == rho
 
+    @pytest.mark.parametrize("rel, fwd, bwd", [(1e-12, 1.0, 0.0), (1e-6, 0.0, 1.0)])
+    def test_candidate_near_observed_ratio(self, rel, fwd, bwd):
+        v = generalized_likelihood_ratio(0.9 * (1 + rel), 0.7, (1.0, 0.9))
+        assert (v.rho_forward, v.rho_backward) == (fwd, bwd)
+
     def test_scaling_in_x1(self):
         v = generalized_likelihood_ratio(0.9, 0.7, (2.0, 1.8))
         assert v.rho_forward == 1.0 and v.rho_backward == 0.0
@@ -320,6 +325,24 @@ class TestGlrSample:
         fwd, bwd, _ = glr_two_node_sample(0.5, TWO_NODE_SAMPLE)
         assert fwd == 2.0**-2  # two ratios strictly above 0.7
         assert bwd == 0.0
+
+    @pytest.mark.parametrize(
+        "c, rel, expected",
+        [
+            (0.75, 1e-12, (0.0, 0.0)),  # on the observed ratio 0.75
+            (0.75, 1e-6, (2.0**-1, 0.0)),
+            (0.7, 1e-12, (2.0**-3, 2.0**-3)),  # on the minimum
+            (0.7, 1e-6, (2.0**-2, 0.0)),
+        ],
+    )
+    def test_candidate_near_observed_ratio(self, c, rel, expected):
+        fwd, bwd, _ = glr_two_node_sample(c * (1 + rel), TWO_NODE_SAMPLE)
+        assert (fwd, bwd) == expected
+
+    @pytest.mark.parametrize("rel, fwd", [(1e-12, 2.0**-1), (1e-6, 2.0**-2)])
+    def test_ratio_near_minimum_is_not_above_it(self, rel, fwd):
+        x = np.array([[1.0, 0.7], [1.0, 0.7 * (1 + rel)], [1.0, 0.9]])
+        assert glr_two_node_sample(0.5, x)[:2] == (fwd, 0.0)
 
     def test_estimate_always_dominates(self):
         g = Dag(2, [(1, 2)])

@@ -378,6 +378,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "rows", ["[[1, 0], [1e400, 1]]", "[[1, 0, 0], [0, 1, 0], [1, 1e400, 1]]"]
+    )
+    def test_non_finite_coefficient_exits_1(self, tmp_path, capsys, recwarn, rows):
+        path = tmp_path / "b.json"
+        path.write_text(rows)
+        assert run(["minimize", "--matrix", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "non-finite" in captured.err and captured.err.count("\n") == 1
+        assert len(recwarn) == 0
+
     def test_non_finite_weight_exits_1(self, tmp_path, capsys):
         path = tmp_path / "inf.json"
         path.write_text('{"d": 2, "edges": [{"from": 1, "to": 2, "weight": 1e400}]}')

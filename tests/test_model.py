@@ -30,7 +30,14 @@ from maxlinbn import (
 
 from maxlinbn.model import _substream_states
 
-from helpers import log_uniform, noise_matrix_by_rows, random_polytree, random_weighted_dag
+from helpers import (
+    log_uniform,
+    minimal_dag_by_pairs,
+    noise_matrix_by_rows,
+    random_dag,
+    random_polytree,
+    random_weighted_dag,
+)
 
 
 class TestConstruction:
@@ -258,6 +265,41 @@ class TestMinimalDag:
         g, weights = minimal_dag(b)
         assert g == Dag(3, [(1, 2), (2, 3), (1, 3)])
         assert weights[(1, 3)] == 0.9
+
+    @pytest.mark.parametrize("rel, kept", [(1e-12, False), (1e-6, True)])
+    def test_near_tie_with_composition(self, rel, kept):
+        b = np.eye(3)
+        b[1, 0] = 0.5
+        b[2, 1] = 0.4
+        b[2, 0] = 0.5 * 0.4 * (1 + rel)
+        g, _ = minimal_dag(b)
+        assert ((1, 3) in g.edges) is kept
+
+    @pytest.mark.parametrize("weights", ["log_uniform", "ones", "halves_and_doubles"])
+    def test_equals_pairwise_loop(self, weights):
+        draw = {
+            "log_uniform": log_uniform,
+            "ones": lambda rng: 1.0,
+            "halves_and_doubles": lambda rng: float(rng.choice([0.5, 1.0, 2.0])),
+        }[weights]
+        rng = np.random.default_rng(83)
+        for d in range(1, 26):
+            for p in (0.2, 0.5, 0.9):
+                g = random_dag(rng, d, p)
+                b = MaxLinearModel(g, {e: draw(rng) for e in g.edges}).B
+                g2, w2 = minimal_dag(b)
+                g_ref, w_ref = minimal_dag_by_pairs(b)
+                assert g2 == g_ref
+                assert list(w2.items()) == list(w_ref.items())
+
+    @pytest.mark.parametrize(
+        "b", [[[1, 0], [np.inf, 1]], [[1, 0, 0], [0, 1, 0], [1, np.inf, 1]]]
+    )
+    def test_non_finite_coefficients_rejected(self, b):
+        with pytest.raises(InvalidCoefficientMatrix, match="non-finite"):
+            minimal_dag(b)
+        with pytest.raises(InvalidCoefficientMatrix, match="non-finite"):
+            admissible_weights(b, Dag(len(b)))
 
     def test_identity_gives_edgeless(self):
         g, weights = minimal_dag(np.eye(4))

@@ -199,5 +199,13 @@ class TestCloseness:
         assert values_close(0.0, 0.0)
         assert not values_close(0.0, 1e-300)
 
+    def test_values_close_elementwise(self):
+        x = np.array([1.0, 1.0, 0.0, 2.0])
+        y = np.array([1.0 + 1e-12, 1.0 + 1e-6, 0.0, 1e-300])
+        assert values_close(x, y).tolist() == [True, False, True, False]
+        scalars = [values_close(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert scalars == [True, False, True, False]
+        assert values_close(x, 1.0).tolist() == [True, True, False, False]
+
     def test_matrices_close_shape(self):
         assert not matrices_close(np.eye(2), np.eye(3))
