@@ -87,7 +87,7 @@ def save_dag(path: str, g: Dag, weights: Optional[dict[Edge, float]] = None) -> 
 
 
 def matrix_to_rows(m: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
+    return np.asarray(m, dtype=float).tolist()
 
 
 #: Values formatted per ``%`` operation when writing a sample CSV.

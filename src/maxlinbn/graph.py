@@ -2,9 +2,9 @@
 
 Vertices are the integers ``1..d``.  A :class:`Dag` validates its edge set on
 construction and precomputes a well-ordering (a topological order, smallest
-label first among ties) and the reachability matrix.  Input labelings do not
-have to respect the edge directions; the well-ordering is stored alongside
-and no relabeling is ever performed.
+label first among ties); the reachability matrix is computed only when read.
+Input labelings do not have to respect the edge directions; the
+well-ordering is stored alongside and no relabeling is ever performed.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class Dag:
     VertexOutOfRange, DuplicateEdgeError, CycleError
     """
 
-    __slots__ = ("_d", "_edges", "_parents", "_children", "_well_order", "_reach", "_names")
+    __slots__ = ("_d", "_edges", "_parents", "_children", "_well_order", "_names")
 
     def __init__(self, d: int, edges: Iterable[Edge] = (), names: Optional[Sequence[str]] = None):
         if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
@@ -147,7 +147,6 @@ class Dag:
         self._parents = {v: frozenset(p) for v, p in parents.items()}
         self._children = {v: frozenset(c) for v, c in children.items()}
         self._well_order = self._topological_order()
-        self._reach = self._reachability()
         if names is not None:
             names = tuple(str(s) for s in names)
             if len(names) != self._d:
@@ -171,17 +170,6 @@ class Dag:
             raise CycleError(f"edges contain a directed cycle among vertices {stuck}")
         return tuple(order)
 
-    def _reachability(self) -> np.ndarray:
-        # reach[v-1, u-1] is True iff u == v or a directed path u ~> v exists.
-        reach = np.zeros((self._d, self._d), dtype=bool)
-        for v in self._well_order:
-            row = reach[v - 1]
-            row[v - 1] = True
-            for u in self._parents[v]:
-                np.logical_or(row, reach[u - 1], out=row)
-        reach.flags.writeable = False
-        return reach
-
     # --- basic accessors -------------------------------------------------
 
     @property
@@ -198,8 +186,20 @@ class Dag:
 
     @property
     def reach(self) -> np.ndarray:
-        """Read-only boolean reachability matrix, ``reach[v-1, u-1]``."""
-        return self._reach
+        """Read-only boolean reachability matrix: ``reach[v-1, u-1]`` is
+        True iff ``u == v`` or a directed path ``u ~> v`` exists.
+
+        Computed afresh on each read, in O(d·|E|) time and a d×d array;
+        a caller that needs it more than once keeps the result.
+        """
+        reach = np.zeros((self._d, self._d), dtype=bool)
+        for v in self._well_order:
+            row = reach[v - 1]
+            row[v - 1] = True
+            for u in self._parents[v]:
+                np.logical_or(row, reach[u - 1], out=row)
+        reach.flags.writeable = False
+        return reach
 
     @property
     def names(self) -> Optional[tuple[str, ...]]:

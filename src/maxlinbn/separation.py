@@ -139,7 +139,7 @@ def markov_statements(g: Dag, kind: str) -> list[IndependenceStatement]:
     for v in range(1, g.d + 1):
         pa = g.parents(v)
         if kind == "ordered":
-            rest = {u for u in range(1, g.d + 1) if position[u] < position[v]} - pa
+            rest = set(g.well_order[: position[v]]) - pa
         else:
             rest = set(range(1, g.d + 1)) - {v} - g.descendants(v) - pa
         if rest:

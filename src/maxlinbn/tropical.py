@@ -63,8 +63,8 @@ def _as_matrix(m, name: str) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    if np.any(a < 0) or np.any(np.isnan(a)):
-        raise InvalidWeightMatrix(f"{name} has negative or NaN entries")
+    if np.any(a < 0) or not np.all(np.isfinite(a)):
+        raise InvalidWeightMatrix(f"{name} has negative or non-finite entries")
     return a
 
 
@@ -95,8 +95,6 @@ def _weighted_dag(c) -> tuple[np.ndarray, Dag]:
         raise DimensionMismatch(f"weight matrix must be square, got {C.shape}")
     if not np.all(np.diag(C) == 1.0):
         raise InvalidWeightMatrix("diagonal entries must all equal 1")
-    if not np.all(np.isfinite(C)):
-        raise InvalidWeightMatrix("weight matrix has non-finite entries")
     edges = [(u + 1, v + 1) for v, u in zip(*np.nonzero(C)) if u != v]
     try:
         return C, Dag(d, edges)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,23 @@ class TestConstruction:
             idx = [v - 1 for v in g.well_order]
             relabeled = g.reach[np.ix_(idx, idx)]
             assert np.array_equal(relabeled, np.tril(relabeled))
+
+    def test_reach_is_read_only_and_stable(self, diamond):
+        first, second = diamond.reach, diamond.reach
+        assert np.array_equal(first, second)
+        with pytest.raises(ValueError):
+            first[0, 3] = True
+
+    def test_construction_allocates_no_d_by_d_array(self):
+        d = 4000
+        edges = [(v, v + 1) for v in range(1, d)]
+        tracemalloc.start()
+        try:
+            Dag(d, edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d // 2
 
     def test_names_roundtrip_and_length_check(self):
         g = Dag(2, [(1, 2)], names=["a", "b"])

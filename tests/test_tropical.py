@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,13 @@ class TestProduct:
     def test_negative_entries_rejected(self):
         with pytest.raises(InvalidWeightMatrix):
             max_times_product(np.array([[-1.0]]), np.array([[1.0]]))
+
+    def test_infinite_entries_rejected_without_warning(self):
+        # inf * 0 is nan: the product must refuse the input, not compute it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidWeightMatrix):
+                max_times_product([[np.inf, 1.0]], [[0.0], [2.0]])
 
     def test_associative_with_identity_unit(self):
         rng = np.random.default_rng(3)
@@ -159,6 +168,14 @@ class TestPathWeight:
             path_weight(c, [])
         with pytest.raises(NotAPath):
             path_weight(c, [1, 9])
+
+    def test_infinite_weight_rejected_without_warning(self, diamond, diamond_weights):
+        c = diamond_C(diamond, diamond_weights)
+        c[1, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidWeightMatrix):
+                path_weight(c, [1, 2, 4])
 
 
 class TestBruteForceOracle:
