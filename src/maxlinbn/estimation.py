@@ -9,11 +9,11 @@ floating-point rounding of the ratios themselves) once the atom has been
 hit, which happens at an exponential rate in the sample size.
 
 Every minimum ratio comes from one kernel, ``_min_ratios``: it walks the
-sample one source column ``u`` at a time and takes the minimum of the
-``(n, k)`` block of ratios ``x_v / x_u`` over the ``k`` targets ``v`` a
-pair pattern asks for, so memory stays O(n * d).  ``ratio_statistics``
-asks for every ordered pair, ``gmle_edge_weights`` for the edges and
-``ancestor_ratio_coefficients`` for the ancestor pairs.
+transposed sample one source row ``u`` at a time and takes the minimum of
+the ``(k, n)`` block of ratios ``x_v / x_u`` over the ``k`` targets ``v`` a
+pair pattern asks for, so memory stays about 2 * n * d floats.
+``ratio_statistics`` asks for every ordered pair, ``gmle_edge_weights``
+for the edges and ``ancestor_ratio_coefficients`` for the ancestor pairs.
 
 ``generalized_likelihood_ratio`` scores two candidate weights for the
 two-vertex chain against an observation via the density of one candidate
@@ -77,7 +77,11 @@ def _min_ratios(
     for) and, when ``atom_rtol`` is given, how many observations attain
     each minimum: those with ``y * (1 - atom_rtol) <= min`` (``n`` on the
     diagonal, 0 at pairs not asked for); otherwise ``None``.  Both are read
-    from one ``(n, k)`` block of ratios per source column.
+    from one ``(k, n)`` block of ratios per source column, whose rows are
+    rows of the transposed sample ``at``, a C-contiguous ``(d, n)`` copy
+    (a view when ``a`` is Fortran-ordered): gathering and reducing whole
+    rows is faster than gathering strided columns.  Memory is about
+    ``2 * n * d`` floats, the copy and the widest block.
 
     Every block is a view of one buffer as wide as the widest block, and
     every result lands in a slice of a per-pair vector, so the loop
@@ -87,6 +91,7 @@ def _min_ratios(
     that larger arrays reuse.
     """
     n, d = a.shape
+    at = np.ascontiguousarray(a.T)
     # the pairs, grouped by source; contiguous, so np.take copies no index
     sources, targets = np.divmod(np.flatnonzero(pairs.T), d)
     bounds = np.searchsorted(sources, np.arange(d + 1))
@@ -99,15 +104,17 @@ def _min_ratios(
         lo, hi = bounds[u], bounds[u + 1]
         if lo == hi:
             continue
-        block = ratios[: n * (hi - lo)].reshape(n, hi - lo)
+        block = ratios[: n * (hi - lo)].reshape(hi - lo, n)
         # "clip" writes straight into the block; the indices are in range
-        np.take(a, targets[lo:hi], axis=1, out=block, mode="clip")
-        block /= a[:, u : u + 1]
-        m = np.min(block, axis=0, out=pair_min[lo:hi])
+        np.take(at, targets[lo:hi], axis=0, out=block, mode="clip")
+        block /= at[u]
+        m = np.min(block, axis=1, out=pair_min[lo:hi])
         if pair_mult is not None:
             block *= 1.0 - atom_rtol
-            hits = np.less_equal(block, m, out=attained[: block.size].reshape(block.shape))
-            np.sum(hits, axis=0, out=pair_mult[lo:hi])
+            hits = np.less_equal(
+                block, m[:, None], out=attained[: block.size].reshape(block.shape)
+            )
+            np.sum(hits, axis=1, out=pair_mult[lo:hi])
     mins = np.eye(d)
     mins[targets, sources] = pair_min
     if pair_mult is None:

@@ -9,7 +9,7 @@ DAG JSON::
 ``weight`` entries are optional for graph-only queries.  Matrices are
 written as row-major arrays of numbers.  Samples are CSV with header
 ``x1,...,xd`` and one observation per row, written a block of rows per
-``%`` formatting operation and read by the ``csv`` module.  Floats are
+``%`` formatting operation and read by ``numpy.loadtxt``.  Floats are
 always written with 17 significant digits so that values survive a
 write/read cycle exactly - the estimation code depends on recurring
 ratios staying bit-identical.
@@ -18,6 +18,7 @@ ratios staying bit-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from typing import Optional, TextIO
 
@@ -60,7 +61,8 @@ def dag_from_dict(obj: dict) -> tuple[Dag, Optional[dict[Edge, float]]]:
     weighted = 0
     for entry in raw:
         try:
-            e = (int(entry["from"]), int(entry["to"]))
+            # ids pass through unchanged, so Dag rejects non-integers
+            e = (entry["from"], entry["to"])
             if "weight" in entry:
                 weights[e] = float(entry["weight"])
                 weighted += 1
@@ -117,28 +119,53 @@ def write_samples(path_or_file, x: np.ndarray) -> None:
 
 def read_samples(path: str) -> np.ndarray:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise MaxLinError(f"{path}: empty sample file")
+        # starting loadtxt on an observation keeps its empty-input warning off
+        first = next((line for line in fh if line.rstrip("\r\n")), None)
+        if first is None:
+            raise MaxLinError(f"{path}: no observations")
         try:
-            rows = [[float(v) for v in row] for row in reader if row]
-        except ValueError as exc:
-            raise MaxLinError(f"{path}: {exc}") from exc
-    if not rows:
-        raise MaxLinError(f"{path}: no observations")
-    width = len(rows[0])
-    for k, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise MaxLinError(
-                f"{path}: the number of columns changed from {width} to {len(row)}"
-                f" at observation {k}"
+            x = np.loadtxt(
+                itertools.chain([first], fh),
+                delimiter=",",
+                comments=None,
+                quotechar='"',
+                ndmin=2,
             )
-    if len(header) != width:
+        except ValueError as exc:
+            raise MaxLinError(f"{path}: {_malformed_rows(path) or exc}") from exc
+    if len(header) != x.shape[1]:
         raise MaxLinError(
-            f"{path}: the header names {len(header)} columns, the rows have {width}"
+            f"{path}: the header names {len(header)} columns, the rows have {x.shape[1]}"
         )
-    return np.asarray(rows, dtype=float)
+    return x
+
+
+def _malformed_rows(path: str) -> Optional[str]:
+    """What is wrong with the observations of a sample CSV that
+    ``np.loadtxt`` rejected: the first cell ``float`` cannot parse, else
+    the first row whose width differs from the first row's.  Observations
+    are counted from 1, skipping blank lines."""
+    width = ragged = None
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for k, row in enumerate(filter(None, reader), start=1):
+            try:
+                for v in row:
+                    float(v)
+            except ValueError as exc:
+                return str(exc)
+            if width is None:
+                width = len(row)
+            elif ragged is None and len(row) != width:
+                ragged = (
+                    f"the number of columns changed from {width} to {len(row)}"
+                    f" at observation {k}"
+                )
+    return ragged
 
 
 def format_table(m: np.ndarray, sig: int = 6) -> str:

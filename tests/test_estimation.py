@@ -157,6 +157,32 @@ class TestMinRatioKernel:
                 for u in g.ancestors(v):
                     assert b_tilde[v - 1, u - 1] == np.min(x[:, v - 1] / x[:, u - 1])
 
+    @pytest.mark.parametrize(
+        "layout",
+        [np.asfortranarray, lambda x: x[:, ::-1], lambda x: x[:, 1:]],
+        ids=["fortran", "reversed-columns", "column-slice"],
+    )
+    def test_non_c_contiguous_samples_match_dense_formula(self, layout):
+        rng = np.random.default_rng(37)
+        for i, n in enumerate((2, 3, 200)):
+            g, w = random_weighted_dag(rng, 7, p=0.5)
+            x = layout(MaxLinearModel(g, w).sample(n, NoiseSpec.frechet(1.0, i)))
+            assert not x.flags.c_contiguous
+            h, _ = random_weighted_dag(rng, x.shape[1], p=0.5)
+            stats = ratio_statistics(x)
+            mins, mult = dense_ratio_statistics(x)
+            assert np.array_equal(stats.min_ratio, mins)
+            assert np.array_equal(stats.multiplicity, mult)
+            edge = np.zeros((h.d, h.d), dtype=bool)
+            for u, v in h.edges:
+                edge[v - 1, u - 1] = True
+            ancestor = np.asarray(h.reach) & ~np.eye(h.d, dtype=bool)
+            eye = np.eye(h.d)
+            assert np.array_equal(gmle_edge_weights(h, x), np.where(edge, mins, eye))
+            assert np.array_equal(
+                ancestor_ratio_coefficients(h, x), np.where(ancestor, mins, eye)
+            )
+
     def test_ratio_statistics_memory_is_linear(self):
         n, d = 2000, 50
         x = np.random.default_rng(3).lognormal(size=(n, d))

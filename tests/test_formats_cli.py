@@ -4,12 +4,20 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import maxlinbn
-from maxlinbn import Dag, MaxLinError, MissingEdgeWeight, NoiseSpec, gmle_edge_weights
+from maxlinbn import (
+    Dag,
+    MaxLinError,
+    MissingEdgeWeight,
+    NoiseSpec,
+    VertexOutOfRange,
+    gmle_edge_weights,
+)
 from maxlinbn.cli import run
 from maxlinbn.formats import (
     dag_from_dict,
@@ -68,6 +76,13 @@ class TestFormats:
         with pytest.raises(MaxLinError):
             dag_from_dict({"d": 2, "edges": [{"source": 1, "target": 2}]})
 
+    @pytest.mark.parametrize("label", [1.9, 1.0, True, "1", None])
+    def test_non_integer_vertex_id_rejected(self, label):
+        with pytest.raises(VertexOutOfRange, match="vertex labels must be integers"):
+            dag_from_dict({"d": 2, "edges": [{"from": label, "to": 2}]})
+        with pytest.raises(VertexOutOfRange, match="vertex labels must be integers"):
+            dag_from_dict({"d": 2, "edges": [{"from": 2, "to": label, "weight": 0.5}]})
+
     def test_sample_csv_roundtrip_is_exact(self, tmp_path, diamond_model):
         x = diamond_model.sample(50, NoiseSpec.frechet(1.0, 7))
         path = tmp_path / "s.csv"
@@ -118,6 +133,52 @@ class TestFormats:
             read_samples(str(path))
         assert str(path) in str(info.value)
         assert len(recwarn) == 0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1,x2\r\n1,2\r\n\r\n3\r\n", "the number of columns changed from 2 to 1 at observation 2"),
+            ("x1,x2\r\n1,abc\r\n", "could not convert string to float: 'abc'"),
+            ("x1,x2\r\n1,2\r\n3\r\n4,abc\r\n", "could not convert string to float: 'abc'"),
+            ("x1,x2\r\n1,2\r\n3\r\n4,5,6\r\n", "the number of columns changed from 2 to 1 at observation 2"),
+            ("x1,x2\r\n1,2\r\n  \r\n", "could not convert string to float: '  '"),
+            ("x1,x2\r\n1,,2\r\n", "could not convert string to float: ''"),
+            ("x1,x2\r\n#1,2\r\n", "could not convert string to float: '#1'"),
+        ],
+    )
+    def test_malformed_sample_csv_message_is_exact(self, tmp_path, recwarn, text, message):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(MaxLinError) as info:
+            read_samples(str(path))
+        assert str(info.value) == f"{path}: {message}"
+        assert len(recwarn) == 0
+
+    def test_sample_csv_single_cell(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"x1\r\n5\r\n")
+        y = read_samples(str(path))
+        assert y.shape == (1, 1) and y[0, 0] == 5.0
+
+    def test_sample_csv_quoted_cells_read_as_csv(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b'"x1","x2"\r\n"1.5",2\r\n')
+        assert np.array_equal(read_samples(str(path)), [[1.5, 2.0]])
+
+    def test_read_samples_memory_is_one_array(self, tmp_path):
+        n, d = 20000, 50
+        x = np.random.default_rng(5).lognormal(size=(n, d))
+        path = str(tmp_path / "s.csv")
+        write_samples(path, x)
+        tracemalloc.start()
+        try:
+            y = read_samples(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(y, x)
+        # the result itself takes n * d * 8 bytes
+        assert peak < 2 * n * d * 8
 
     def test_sample_csv_roundtrip_property(self, tmp_path):
         hypothesis = pytest.importorskip("hypothesis")
@@ -318,6 +379,14 @@ class TestCli:
 
     def test_missing_file_exits_1(self, capsys):
         assert run(["closure", "--dag", "/nonexistent.json"]) == 1
+
+    def test_non_integer_vertex_id_exits_1_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text('{"d": 2, "edges": [{"from": 1.9, "to": 2, "weight": 0.5}]}')
+        assert run(["closure", "--dag", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error:") and "1.9" in captured.err
 
     def test_closure_needs_weights(self, tmp_path, capsys):
         path = tmp_path / "g.json"
