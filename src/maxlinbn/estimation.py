@@ -84,11 +84,13 @@ def _min_ratios(
     ``2 * n * d`` floats, the copy and the widest block.
 
     Every block is a view of one buffer as wide as the widest block, and
-    every result lands in a slice of a per-pair vector, so the loop
-    allocates no array data.  numpy keeps freed buffers under 1 KiB for
-    reuse, and per-source arrays of ``k`` entries would pin one such buffer
-    per distinct ``k`` wherever the heap had room, splitting the free space
-    that larger arrays reuse.
+    every result lands in a preallocated slice of a per-pair vector; the
+    only allocations per source are numpy's transient reduction buffers
+    (the iteration buffer, about 64 KB, and small iterator blocks of each
+    ``np.min`` and ``np.sum``), freed when the reduction returns.  numpy
+    keeps freed buffers under 1 KiB for reuse, and per-source arrays of
+    ``k`` entries would pin one such buffer per distinct ``k`` wherever the
+    heap had room, splitting the free space that larger arrays reuse.
     """
     n, d = a.shape
     at = np.ascontiguousarray(a.T)

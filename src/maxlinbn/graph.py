@@ -5,6 +5,12 @@ construction and precomputes a well-ordering (a topological order, smallest
 label first among ties); the reachability matrix is computed only when read.
 Input labelings do not have to respect the edge directions; the
 well-ordering is stored alongside and no relabeling is ever performed.
+
+Labels are checked once, where they enter: at construction and at the
+accessors.  A plain ``int`` in range is accepted on a type test alone; any
+other label (a numpy integer, a ``bool``, a float, one out of range) goes
+through :func:`_check_vertex`, so a bad label always raises
+:class:`VertexOutOfRange` with the same message.
 """
 
 from __future__ import annotations
@@ -26,10 +32,18 @@ Edge = tuple[int, int]
 
 
 def _check_vertex(v: int, d: int) -> None:
+    if type(v) is int and 0 < v <= d:
+        return
     if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
         raise VertexOutOfRange(f"vertex labels must be integers, got {v!r}")
     if not 1 <= v <= d:
         raise VertexOutOfRange(f"vertex {v} outside 1..{d}")
+
+
+def _check_count(d: int) -> int:
+    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
+        raise VertexOutOfRange(f"vertex count must be a positive integer, got {d!r}")
+    return int(d)
 
 
 class UndirectedGraph:
@@ -42,17 +56,16 @@ class UndirectedGraph:
     __slots__ = ("_d", "_edges", "_adj")
 
     def __init__(self, d: int, edges: Iterable[Edge]):
-        if d < 1:
-            raise VertexOutOfRange(f"vertex count must be positive, got {d}")
-        self._d = int(d)
+        d = self._d = _check_count(d)
         adj: dict[int, set[int]] = {v: set() for v in range(1, d + 1)}
         canon: set[Edge] = set()
         for u, v in edges:
-            _check_vertex(u, d)
-            _check_vertex(v, d)
+            if not (type(u) is int and type(v) is int and 0 < u <= d and 0 < v <= d):
+                _check_vertex(u, d)
+                _check_vertex(v, d)
             if u == v:
                 raise VertexOutOfRange(f"self-loop at vertex {u}")
-            canon.add((min(u, v), max(u, v)))
+            canon.add((u, v) if u < v else (v, u))
             adj[u].add(v)
             adj[v].add(u)
         self._edges = frozenset(canon)
@@ -127,22 +140,22 @@ class Dag:
     __slots__ = ("_d", "_edges", "_parents", "_children", "_well_order", "_names")
 
     def __init__(self, d: int, edges: Iterable[Edge] = (), names: Optional[Sequence[str]] = None):
-        if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
-            raise VertexOutOfRange(f"vertex count must be a positive integer, got {d!r}")
-        self._d = int(d)
-        parents: dict[int, set[int]] = {v: set() for v in range(1, d + 1)}
-        children: dict[int, set[int]] = {v: set() for v in range(1, d + 1)}
+        d = self._d = _check_count(d)
+        # lists suffice: a repeated edge is rejected before it is appended
+        parents: dict[int, list[int]] = {v: [] for v in range(1, d + 1)}
+        children: dict[int, list[int]] = {v: [] for v in range(1, d + 1)}
         seen: set[Edge] = set()
         for u, v in edges:
-            _check_vertex(u, d)
-            _check_vertex(v, d)
+            if not (type(u) is int and type(v) is int and 0 < u <= d and 0 < v <= d):
+                _check_vertex(u, d)
+                _check_vertex(v, d)
             if u == v:
                 raise CycleError(f"self-loop at vertex {u}")
             if (u, v) in seen:
                 raise DuplicateEdgeError(f"edge ({u}, {v}) given twice")
             seen.add((u, v))
-            parents[v].add(u)
-            children[u].add(v)
+            parents[v].append(u)
+            children[u].append(v)
         self._edges = frozenset(seen)
         self._parents = {v: frozenset(p) for v, p in parents.items()}
         self._children = {v: frozenset(c) for v, c in children.items()}
@@ -155,8 +168,8 @@ class Dag:
 
     def _topological_order(self) -> tuple[int, ...]:
         indeg = {v: len(self._parents[v]) for v in range(1, self._d + 1)}
+        # in label order, so already a heap
         heap = [v for v, k in indeg.items() if k == 0]
-        heapq.heapify(heap)
         order = []
         while heap:
             v = heapq.heappop(heap)
@@ -206,10 +219,20 @@ class Dag:
         return self._names
 
     def parents(self, v: int) -> frozenset[int]:
+        if type(v) is int:
+            try:
+                return self._parents[v]
+            except KeyError:
+                pass
         _check_vertex(v, self._d)
         return self._parents[v]
 
     def children(self, v: int) -> frozenset[int]:
+        if type(v) is int:
+            try:
+                return self._children[v]
+            except KeyError:
+                pass
         _check_vertex(v, self._d)
         return self._children[v]
 

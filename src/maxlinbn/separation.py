@@ -156,7 +156,14 @@ def enumerate_independences(
     Enumerates all triples ``({a}, {b}, S)`` with ``a < b``, ``S`` disjoint
     from ``{a, b}`` and ``|S| <= max_cond``, each carrying its d-separation
     verdict.  One traversal from ``a`` given ``S`` decides every ``b`` at
-    once.  Output is canonically sorted.
+    once.
+
+    Output is in the canonical order ``(a, b, |S|, sorted S)`` as it is
+    emitted: the statements of each source ``a`` are collected per target
+    ``b``, and within a target the conditioning sets come by size and then
+    lexicographically, as :func:`itertools.combinations` yields them.  The
+    statements share their sets: one frozenset per vertex, and one per
+    conditioning set of each source ``a``.
     """
     if max_cond < 0:
         raise ValueError("max_cond must be nonnegative")
@@ -165,16 +172,21 @@ def enumerate_independences(
     total = comb(d, 2) * sum(comb(d - 2, k) for k in range(kmax + 1)) if d >= 2 else 0
     if total > max_triples:
         raise SizeLimitExceeded(f"{total} triples exceed the cap of {max_triples}")
+    single = {v: frozenset((v,)) for v in range(1, d + 1)}
     out: list[IndependenceStatement] = []
-    for x in range(1, d + 1):
+    for x in range(1, d):
         rest = [v for v in range(1, d + 1) if v != x]
+        by_target: dict[int, list[IndependenceStatement]] = {y: [] for y in range(x + 1, d + 1)}
         for k in range(kmax + 1):
             for s in combinations(rest, k):
-                targets = [y for y in range(x + 1, d + 1) if y not in s]
+                S = frozenset(s)
+                targets = [y for y in range(x + 1, d + 1) if y not in S]
                 if targets:
-                    reached = set(_d_connected(g, frozenset((x,)), frozenset(s)))
-                    out.extend(
-                        IndependenceStatement({x}, {y}, s, y not in reached) for y in targets
-                    )
-    out.sort(key=lambda st: (min(st.a), min(st.b), len(st.given), sorted(st.given)))
+                    reached = set(_d_connected(g, single[x], S))
+                    for y in targets:
+                        by_target[y].append(
+                            IndependenceStatement(single[x], single[y], S, y not in reached)
+                        )
+        for stmts in by_target.values():
+            out.extend(stmts)
     return out

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -98,6 +99,70 @@ class TestConstruction:
         assert diamond == same
         assert hash(diamond) == hash(same)
         assert diamond != Dag(4, [(1, 2)])
+
+
+def _exactly(message):
+    return "^" + re.escape(message) + "$"
+
+
+class TestLabelChecks:
+    """The messages of bad labels and vertex counts, on both graph types and
+    every accessor that takes a vertex."""
+
+    EDGES = [(1, 2), (2, 3)]
+    BAD_LABELS = [
+        (True, "vertex labels must be integers, got True"),
+        (1.0, "vertex labels must be integers, got 1.0"),
+        (0, "vertex 0 outside 1..3"),
+        (4, "vertex 4 outside 1..3"),
+        (np.int64(0), "vertex 0 outside 1..3"),
+        (np.int64(4), "vertex 4 outside 1..3"),
+    ]
+
+    def test_numpy_labels_give_the_same_graph(self):
+        np_edges = [(np.int64(u), np.int64(v)) for u, v in self.EDGES]
+        for build in (Dag, UndirectedGraph):
+            g = build(np.int64(3), np_edges)
+            assert g == build(3, self.EDGES) and hash(g) == hash(build(3, self.EDGES))
+            assert type(g.d) is int and g.d == 3
+        g = Dag(3, np_edges)
+        assert g.well_order == (1, 2, 3)
+        assert g.parents(np.int64(2)) == {1} and g.children(np.int64(2)) == {3}
+        assert UndirectedGraph(3, np_edges).neighbors(np.int64(2)) == {1, 3}
+
+    @pytest.mark.parametrize("bad, message", BAD_LABELS)
+    def test_bad_label_in_an_edge(self, bad, message):
+        for build in (Dag, UndirectedGraph):
+            for edge in ((bad, 2), (2, bad)):
+                with pytest.raises(VertexOutOfRange, match=_exactly(message)):
+                    build(3, [(1, 2), edge])
+
+    @pytest.mark.parametrize("bad, message", BAD_LABELS)
+    def test_bad_label_at_an_accessor(self, bad, message):
+        g, u = Dag(3, self.EDGES), UndirectedGraph(3, self.EDGES)
+        for accessor in (g.parents, g.children, u.neighbors):
+            with pytest.raises(VertexOutOfRange, match=_exactly(message)):
+                accessor(bad)
+
+    def test_first_bad_edge_reports(self):
+        for build in (Dag, UndirectedGraph):
+            with pytest.raises(VertexOutOfRange, match=_exactly("vertex 4 outside 1..3")):
+                build(3, [(1, 4), (True, 2)])
+            with pytest.raises(
+                VertexOutOfRange, match=_exactly("vertex labels must be integers, got True")
+            ):
+                build(3, [(True, 2), (1, 4)])
+        with pytest.raises(DuplicateEdgeError, match=_exactly("edge (1, 2) given twice")):
+            Dag(3, [(1, 2), (1, 2), (1, 4)])
+        with pytest.raises(CycleError, match=_exactly("self-loop at vertex 2")):
+            Dag(3, [(2, 2), (1, 4)])
+
+    @pytest.mark.parametrize("d", [True, 2.0, "3", 0, -1, np.int64(0)])
+    def test_vertex_count_must_be_a_positive_integer(self, d):
+        message = f"vertex count must be a positive integer, got {d!r}"
+        for build in (Dag, UndirectedGraph):
+            with pytest.raises(VertexOutOfRange, match=_exactly(message)):
+                build(d, [])
 
 
 class TestDerivedSets:

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -188,12 +189,38 @@ class TestEnumerate:
 
     def test_canonical_sorting_and_verdicts(self):
         rng = np.random.default_rng(59)
-        g = random_dag(rng, 6, p=0.5)
-        stmts = enumerate_independences(g, max_cond=4)
-        keys = [(min(s.a), min(s.b), len(s.given), sorted(s.given)) for s in stmts]
-        assert keys == sorted(keys)
+        cases = [(random_dag(rng, 6, p=0.5), 4)]
+        for _ in range(40):
+            d = int(rng.integers(1, 9))
+            g = random_dag(rng, d, p=float(rng.uniform(0.1, 0.7)))
+            cases.append((g, int(rng.integers(0, d + 1))))
+        for g, max_cond in cases:
+            stmts = enumerate_independences(g, max_cond)
+            keys = [(min(s.a), min(s.b), len(s.given), sorted(s.given)) for s in stmts]
+            assert keys == sorted(keys)
+            for st in stmts:
+                assert min(st.a) < min(st.b)
+                assert st.holds == d_separated(g, st.a, st.b, st.given)
+
+    def test_statements_share_their_sets(self):
+        g = random_dag(np.random.default_rng(19), 6, p=0.5)
+        stmts = enumerate_independences(g, max_cond=2)
+        assert len({id(s.a) for s in stmts} | {id(s.b) for s in stmts}) == g.d
+        given_ids: dict[tuple, set[int]] = {}
         for st in stmts:
-            assert st.holds == d_separated(g, st.a, st.b, st.given)
+            given_ids.setdefault((min(st.a), st.given), set()).add(id(st.given))
+        assert all(len(ids) == 1 for ids in given_ids.values())
+
+    def test_memory_stays_near_the_result(self):
+        g = random_dag(np.random.default_rng(3), 14, p=0.3)
+        tracemalloc.start()
+        try:
+            stmts = enumerate_independences(g, max_cond=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(stmts) == 27209
+        assert peak < 8 * 2**20
 
     def test_size_cap(self):
         with pytest.raises(SizeLimitExceeded):
