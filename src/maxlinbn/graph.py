@@ -1,10 +1,14 @@
 """Directed acyclic graphs and their derived structure.
 
-Vertices are the integers ``1..d``.  A :class:`Dag` validates its edge set on
-construction and precomputes a well-ordering (a topological order, smallest
-label first among ties); the reachability matrix is computed only when read.
-Input labelings do not have to respect the edge directions; the
-well-ordering is stored alongside and no relabeling is ever performed.
+Vertices are the integers ``1..d``.  A :class:`Dag` validates its edge set,
+acyclicity included, on construction, in Python work proportional to the
+number of edges: every vertex without parents, children or neighbours maps to
+the one shared empty set :data:`EMPTY`.  The well-ordering (a topological
+order, smallest label first among ties) is computed on its first read, or the
+first read of the reachability matrix, and kept; the reachability matrix is
+computed afresh on each read.  Input labelings do not have to respect the
+edge directions; the well-ordering is stored alongside and no relabeling is
+ever performed.
 
 Labels are checked once, where they enter: at construction and at the
 accessors.  A plain ``int`` in range is accepted on a type test alone; any
@@ -30,6 +34,9 @@ from .errors import (
 
 Edge = tuple[int, int]
 
+#: The neighbour set of every vertex that has no neighbour along a relation.
+EMPTY: frozenset[int] = frozenset()
+
 
 def _check_vertex(v: int, d: int) -> None:
     if type(v) is int and 0 < v <= d:
@@ -46,18 +53,48 @@ def _check_count(d: int) -> int:
     return int(d)
 
 
+def _vertex_map(vertices: Iterable[int], neighbours: dict) -> dict[int, frozenset[int]]:
+    """Each of ``vertices`` mapped to its frozenset of ``neighbours``, or to
+    :data:`EMPTY` when it has none.  The map is filled in C; only the
+    vertices in ``neighbours`` cost Python work."""
+    out = dict.fromkeys(vertices, EMPTY)
+    for v, nb in neighbours.items():
+        out[v] = frozenset(nb)
+    return out
+
+
+def _check_acyclic(parents: dict, children: dict) -> None:
+    """Raise :class:`CycleError` unless the edges given by ``parents`` and
+    ``children`` (lists keyed by the edges' endpoints only) form no directed
+    cycle.  Kahn's algorithm on a plain stack: the vertices it never frees
+    are exactly those on or downstream of a cycle."""
+    indeg = {v: len(p) for v, p in parents.items()}
+    stack = [u for u in children if u not in indeg]
+    while stack:
+        for w in children.get(stack.pop(), ()):
+            k = indeg[w] = indeg[w] - 1
+            if not k:
+                stack.append(w)
+    # int(): numpy labels are named as plain numbers
+    stuck = sorted(int(v) for v, k in indeg.items() if k)
+    if stuck:
+        raise CycleError(f"edges contain a directed cycle among vertices {stuck}")
+
+
 class UndirectedGraph:
     """Simple undirected graph on vertices ``1..d``.
 
     Edges are stored canonically as pairs ``(u, v)`` with ``u < v``; the
-    adjacency relation is symmetric and irreflexive.
+    adjacency relation is symmetric and irreflexive.  Vertices without
+    neighbours share the empty set :data:`EMPTY`.
     """
 
     __slots__ = ("_d", "_edges", "_adj")
 
     def __init__(self, d: int, edges: Iterable[Edge]):
         d = self._d = _check_count(d)
-        adj: dict[int, set[int]] = {v: set() for v in range(1, d + 1)}
+        # keyed by the edges' endpoints only; frozenset() drops repeats
+        adj: dict[int, list[int]] = {}
         canon: set[Edge] = set()
         for u, v in edges:
             if not (type(u) is int and type(v) is int and 0 < u <= d and 0 < v <= d):
@@ -66,10 +103,16 @@ class UndirectedGraph:
             if u == v:
                 raise VertexOutOfRange(f"self-loop at vertex {u}")
             canon.add((u, v) if u < v else (v, u))
-            adj[u].add(v)
-            adj[v].add(u)
+            if u in adj:
+                adj[u].append(v)
+            else:
+                adj[u] = [v]
+            if v in adj:
+                adj[v].append(u)
+            else:
+                adj[v] = [u]
         self._edges = frozenset(canon)
-        self._adj = {v: frozenset(nb) for v, nb in adj.items()}
+        self._adj = _vertex_map(range(1, d + 1), adj)
 
     @property
     def d(self) -> int:
@@ -132,6 +175,12 @@ class Dag:
         External display names, one per vertex.  Purely cosmetic; all
         algorithms operate on the integer labels.
 
+    Construction checks the labels, repeated edges and acyclicity in Python
+    work proportional to the number of edges.  Vertices without parents (or
+    children) share the empty set :data:`EMPTY`.  The well-ordering is
+    computed on the first read of :attr:`well_order` or :attr:`reach` and
+    kept.
+
     Raises
     ------
     VertexOutOfRange, DuplicateEdgeError, CycleError
@@ -141,9 +190,10 @@ class Dag:
 
     def __init__(self, d: int, edges: Iterable[Edge] = (), names: Optional[Sequence[str]] = None):
         d = self._d = _check_count(d)
-        # lists suffice: a repeated edge is rejected before it is appended
-        parents: dict[int, list[int]] = {v: [] for v in range(1, d + 1)}
-        children: dict[int, list[int]] = {v: [] for v in range(1, d + 1)}
+        # keyed by the edges' endpoints only; lists suffice, since a repeated
+        # edge is rejected before it is appended
+        parents: dict[int, list[int]] = {}
+        children: dict[int, list[int]] = {}
         seen: set[Edge] = set()
         for u, v in edges:
             if not (type(u) is int and type(v) is int and 0 < u <= d and 0 < v <= d):
@@ -151,37 +201,30 @@ class Dag:
                 _check_vertex(v, d)
             if u == v:
                 raise CycleError(f"self-loop at vertex {u}")
-            if (u, v) in seen:
-                raise DuplicateEdgeError(f"edge ({u}, {v}) given twice")
+            # one hash per edge: a repeated edge leaves the set's size as it was
+            n = len(seen)
             seen.add((u, v))
-            parents[v].append(u)
-            children[u].append(v)
+            if len(seen) == n:
+                raise DuplicateEdgeError(f"edge ({u}, {v}) given twice")
+            if v in parents:
+                parents[v].append(u)
+            else:
+                parents[v] = [u]
+            if u in children:
+                children[u].append(v)
+            else:
+                children[u] = [v]
         self._edges = frozenset(seen)
-        self._parents = {v: frozenset(p) for v, p in parents.items()}
-        self._children = {v: frozenset(c) for v, c in children.items()}
-        self._well_order = self._topological_order()
+        _check_acyclic(parents, children)
+        self._parents = _vertex_map(range(1, d + 1), parents)
+        # reuses _parents' key objects: one int object per vertex, not two
+        self._children = _vertex_map(self._parents, children)
+        self._well_order = None
         if names is not None:
             names = tuple(str(s) for s in names)
             if len(names) != self._d:
                 raise DimensionMismatch(f"got {len(names)} names for {self._d} vertices")
         self._names = names
-
-    def _topological_order(self) -> tuple[int, ...]:
-        indeg = {v: len(self._parents[v]) for v in range(1, self._d + 1)}
-        # in label order, so already a heap
-        heap = [v for v, k in indeg.items() if k == 0]
-        order = []
-        while heap:
-            v = heapq.heappop(heap)
-            order.append(v)
-            for w in self._children[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(heap, w)
-        if len(order) < self._d:
-            stuck = sorted(v for v, k in indeg.items() if k > 0)
-            raise CycleError(f"edges contain a directed cycle among vertices {stuck}")
-        return tuple(order)
 
     # --- basic accessors -------------------------------------------------
 
@@ -195,6 +238,21 @@ class Dag:
 
     @property
     def well_order(self) -> tuple[int, ...]:
+        """The topological order that takes the smallest available label
+        first; computed on the first read and kept."""
+        if self._well_order is None:
+            indeg = {v: len(p) for v, p in self._parents.items() if p}
+            # in label order, so already a heap
+            heap = [v for v in range(1, self._d + 1) if v not in indeg]
+            order = []
+            while heap:
+                v = heapq.heappop(heap)
+                order.append(v)
+                for w in self._children[v]:
+                    indeg[w] -= 1
+                    if not indeg[w]:
+                        heapq.heappush(heap, w)
+            self._well_order = tuple(order)
         return self._well_order
 
     @property
@@ -206,7 +264,7 @@ class Dag:
         a caller that needs it more than once keeps the result.
         """
         reach = np.zeros((self._d, self._d), dtype=bool)
-        for v in self._well_order:
+        for v in self.well_order:
             row = reach[v - 1]
             row[v - 1] = True
             for u in self._parents[v]:
@@ -283,9 +341,9 @@ class Dag:
     def moral_graph(self) -> UndirectedGraph:
         """Skeleton plus an edge between every two parents of a common child."""
         edges = set(self._edges)
-        for v in range(1, self._d + 1):
-            for u, w in combinations(self._parents[v], 2):
-                edges.add((u, w))
+        for pa in self._parents.values():
+            if len(pa) > 1:
+                edges.update(combinations(pa, 2))
         return UndirectedGraph(self._d, edges)
 
     def unshielded_colliders(self) -> frozenset[tuple[int, int, int]]:

@@ -16,12 +16,12 @@ random graphs.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Iterator
 
-from .errors import NonDisjointQuery, SizeLimitExceeded, VertexOutOfRange
-from .graph import Dag
+from .errors import NonDisjointQuery, SizeLimitExceeded
+from .graph import Dag, _check_vertex
 
 
 class IndependenceStatement:
@@ -56,10 +56,11 @@ class IndependenceStatement:
 
 
 def _query_sets(g: Dag, a, b, s) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    # every label as given, before a set could merge True into 1
+    a, b, s = tuple(a), tuple(b), tuple(s)
+    for v in chain(a, b, s):
+        _check_vertex(v, g.d)
     A, B, S = frozenset(a), frozenset(b), frozenset(s)
-    for v in A | B | S:
-        if not 1 <= v <= g.d:
-            raise VertexOutOfRange(f"vertex {v} outside 1..{g.d}")
     if not A or not B:
         raise NonDisjointQuery("both query sides must be nonempty")
     if A & B or A & S or B & S:
@@ -116,11 +117,13 @@ def m_separated(g: Dag, a: Iterable[int], b: Iterable[int], s: Iterable[int] = (
 
     Computes the smallest ancestral set containing ``a``, ``b`` and ``s``,
     restricts the DAG to it, moralizes, and tests whether ``s`` separates
-    ``a`` from ``b`` in the resulting undirected graph.
+    ``a`` from ``b`` in the resulting undirected graph.  The restricted DAG's
+    edges are those into the ancestral set, read from its vertices' parents:
+    an ancestral set holds the parents of its vertices.
     """
     A, B, S = _query_sets(g, a, b, s)
     anc = g.ancestral_closure(A | B | S)
-    sub = Dag(g.d, [e for e in g.edges if e[0] in anc and e[1] in anc])
+    sub = Dag(g.d, [(u, v) for v in anc for u in g.parents(v)])
     return sub.moral_graph().separated(A, B, S)
 
 

@@ -88,6 +88,19 @@ class TestConstruction:
             tracemalloc.stop()
         assert peak < d * d // 2
 
+    def test_construction_memory_grows_with_the_edges(self):
+        # 20000 vertices, 10 edges: one map entry per vertex, no set per vertex
+        d = 20000
+        edges = [(v, v + 1) for v in range(1, 11)]
+        for build, limit in ((Dag, 4e6), (UndirectedGraph, 2e6)):
+            tracemalloc.start()
+            try:
+                build(d, edges)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, (build.__name__, peak)
+
     def test_names_roundtrip_and_length_check(self):
         g = Dag(2, [(1, 2)], names=["a", "b"])
         assert g.names == ("a", "b")
@@ -240,6 +253,65 @@ class TestDerivedGraphs:
     def test_shielded_collider_excluded(self):
         g = Dag(3, [(1, 3), (2, 3), (1, 2)])
         assert g.unshielded_colliders() == frozenset()
+
+
+class TestNetworkxOracles:
+    @staticmethod
+    def digraph(nx, d, edges):
+        G = nx.DiGraph()
+        G.add_nodes_from(range(1, d + 1))
+        G.add_edges_from(edges)
+        return G
+
+    def test_well_order_is_the_lexicographic_topological_sort(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(53)
+        for i in range(120):
+            # a shuffled DAG, relabeled into a larger vertex set, so that
+            # isolated vertices sit at random labels
+            g = random_dag(rng, int(rng.integers(1, 12)), p=float(rng.uniform(0.1, 0.6)))
+            d = g.d + int(rng.integers(0, 5))
+            perm = [int(v) for v in rng.permutation(d) + 1]
+            g = Dag(d, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+            expected = tuple(nx.lexicographical_topological_sort(self.digraph(nx, d, g.edges)))
+            if i % 2:
+                # first read before reach, which then reuses the kept order
+                assert g.well_order == expected
+            assert np.array_equal(g.reach, TestReachabilityOracle._reach_by_squaring(g))
+            assert g.well_order == expected
+
+    def test_cycle_error_names_the_vertices_on_or_below_a_cycle(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(59)
+        checked = 0
+        while checked < 100:
+            d = int(rng.integers(2, 12))
+            pairs = rng.integers(1, d + 1, size=(int(rng.integers(1, 2 * d + 1)), 2))
+            edges = list({(int(u), int(v)) for u, v in pairs if u != v})
+            edges = [edges[k] for k in rng.permutation(len(edges))]
+            G = self.digraph(nx, d, edges)
+            on_cycle = set().union(
+                *(c for c in nx.strongly_connected_components(G) if len(c) > 1)
+            )
+            if not on_cycle:
+                assert Dag(d, edges).edges == set(edges)
+                continue
+            stuck = on_cycle.union(*(nx.descendants(G, v) for v in on_cycle))
+            message = f"edges contain a directed cycle among vertices {sorted(stuck)}"
+            with pytest.raises(CycleError, match=_exactly(message)):
+                Dag(d, edges)
+            checked += 1
+
+    def test_moral_graph_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(61)
+        for _ in range(80):
+            g = random_dag(rng, int(rng.integers(1, 12)), p=float(rng.uniform(0.05, 0.6)))
+            M = nx.moral_graph(self.digraph(nx, g.d, g.edges))
+            moral = g.moral_graph()
+            assert moral == UndirectedGraph(g.d, M.edges())
+            for v in range(1, g.d + 1):
+                assert moral.neighbors(v) == set(M[v])
 
 
 class TestPolytree:

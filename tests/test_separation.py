@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from math import comb
 
@@ -53,6 +54,22 @@ class TestDSeparation:
             d_separated(diamond_tail, {2}, {3}, {3})
         with pytest.raises(VertexOutOfRange):
             d_separated(diamond_tail, {2}, {9})
+
+    @pytest.mark.parametrize("oracle", [d_separated, m_separated])
+    @pytest.mark.parametrize(
+        "query, bad",
+        [
+            # a label the traversal never reaches
+            (({1}, {3}, {2.5}), "2.5"),
+            # True == 1, so a merged set would call the sides overlapping
+            (({1}, {True}), "True"),
+        ],
+    )
+    def test_labels_are_type_checked(self, oracle, query, bad):
+        g = Dag(3, [(1, 2), (2, 3)])
+        message = f"vertex labels must be integers, got {bad}"
+        with pytest.raises(VertexOutOfRange, match="^" + re.escape(message) + "$"):
+            oracle(g, *query)
 
 
 class TestMSeparation:
