@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
     NonPositiveWeight,
     VertexOutOfRange,
 )
-from .graph import Dag, Edge
+from .graph import Dag, Edge, _check_vertex
 from .tropical import _sweep, closure, max_times_product, values_close
 
 
@@ -51,6 +51,7 @@ class NoiseSpec:
     Both families are continuous with support ``(0, inf)``.  ``frechet``
     has CDF ``exp(-x**-alpha)``; ``lognormal`` is ``exp(Normal(mu, sigma))``.
     Parameters must be finite; ``alpha`` and ``sigma`` must be positive.
+    The seed is any integer; it is used modulo ``2**64``.
     """
 
     family: str
@@ -64,6 +65,9 @@ class NoiseSpec:
             names = ("mu", "sigma")
         else:
             raise ValueError(f"unknown noise family {self.family!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise MaxLinError(f"noise seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         for name, value in zip(names, self.params, strict=True):
             if not np.isfinite(value):
                 raise MaxLinError(f"{self.family} {name} must be finite, got {value}")
@@ -74,31 +78,27 @@ class NoiseSpec:
 
     @classmethod
     def frechet(cls, alpha: float, seed: int) -> "NoiseSpec":
-        return cls("frechet", (float(alpha),), int(seed))
+        return cls("frechet", (float(alpha),), seed)
 
     @classmethod
     def lognormal(cls, mu: float, sigma: float, seed: int) -> "NoiseSpec":
-        return cls("lognormal", (float(mu), float(sigma)), int(seed))
+        return cls("lognormal", (float(mu), float(sigma)), seed)
 
-    def _draw_row(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Fill one noise row from its substream's generator."""
-        if self.family == "frechet":
-            rng.random(out=out)
-        else:
+    def _draw(self, rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+        """An ``(n, d)`` matrix of noise values, filled row by row from ``rng``."""
+        if self.family == "lognormal":
             mu, sigma = self.params
-            out[:] = rng.lognormal(mu, sigma, out.size)
-
-    def _finish(self, z: np.ndarray) -> None:
-        """Map the rows drawn by ``_draw_row`` to noise values, in place."""
-        if self.family == "frechet":
-            (alpha,) = self.params
-            # rng.random() can return exactly 0; nudge into the open interval
-            np.maximum(z, np.nextafter(0.0, 1.0), out=z)
-            np.log(z, out=z)
-            np.negative(z, out=z)
-            # ``**=``, not np.power: like ``**`` it takes numpy's reciprocal
-            # shortcut at alpha = 1
-            z **= -1.0 / alpha
+            return rng.lognormal(mu, sigma, (n, d))
+        (alpha,) = self.params
+        z = rng.random((n, d))
+        # rng.random() can return exactly 0; nudge into the open interval
+        np.maximum(z, np.nextafter(0.0, 1.0), out=z)
+        np.log(z, out=z)
+        np.negative(z, out=z)
+        # ``**=``, not np.power: like ``**`` it takes numpy's reciprocal
+        # shortcut at alpha = 1
+        z **= -1.0 / alpha
+        return z
 
 
 def assemble_weight_matrix(g: Dag, weights: Mapping[Edge, float]) -> np.ndarray:
@@ -158,9 +158,10 @@ class MaxLinearModel:
     def sample(self, n: int, noise: NoiseSpec) -> np.ndarray:
         """Draw ``n`` observations as rows of an ``(n, d)`` matrix.
 
-        Observation ``nu`` uses the dedicated random substream seeded by
-        ``(noise.seed, nu)``, so the output is reproducible and independent
-        of any batching or parallel schedule.  Each row is the noise row of
+        The noise comes from one generator stream seeded by ``noise.seed``
+        (see :func:`noise_matrix`), so the output is reproducible and
+        prefix-stable: ``sample(m, noise)`` is the first ``m`` rows of
+        ``sample(n, noise)`` for ``m <= n``.  Each row is the noise row of
         :func:`noise_matrix` pushed through the recursion
         ``X_v = max(Z_v, max_u c_vu X_u)`` along the well-ordering, so it
         satisfies the recursion exactly, with no rounding beyond the one
@@ -178,106 +179,21 @@ class MaxLinearModel:
 def noise_matrix(noise: NoiseSpec, n: int, d: int) -> np.ndarray:
     """The ``(n, d)`` noise draw underlying :meth:`MaxLinearModel.sample`.
 
-    Row ``nu`` comes from its own substream: a PCG64 generator seeded with
-    ``SeedSequence((noise.seed % 2**64, nu))``, so every row equals
-    ``default_rng((noise.seed % 2**64, nu))``'s draw of ``d`` values and
-    does not depend on ``n``.  The seeds of the rows are hashed with
-    vectorised integer arithmetic (:func:`_substream_states`) and loaded,
-    row by row, into a single reused generator.
+    One generator, ``default_rng(noise.seed % 2**64)``, fills the matrix
+    row by row from a single stream, so the first ``m`` rows of a draw of
+    ``n >= m`` rows are the draw of ``m`` rows.  Row 0 equals
+    ``default_rng((noise.seed % 2**64, 0))``'s draw of ``d`` values, since
+    numpy seeds both generators with the same state.
 
     Raises :class:`MaxLinError` when a draw overflows to ``inf`` or
     underflows to 0: the parameters then give no sample in ``(0, inf)``.
     """
-    z = np.empty((n, d))
-    states = _substream_states(noise.seed, np.arange(n, dtype=np.uint64))
-    bitgen = np.random.PCG64(0)  # the seed is never used: each row sets the state
-    rng = np.random.Generator(bitgen)
-    for row, (state, inc) in zip(z, states):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        noise._draw_row(rng, row)
+    rng = np.random.default_rng(noise.seed % 2**64)
     with np.errstate(over="ignore", under="ignore"):
-        noise._finish(z)
+        z = noise._draw(rng, n, d)
     if z.size and not (z.min() > 0 and z.max() < np.inf):
         raise MaxLinError(f"{noise!r} draws values outside (0, inf)")
     return z
-
-
-# numpy's SeedSequence (O'Neill's seed_seq hash on 32-bit words) and PCG64
-# seeding, as in numpy/random/bit_generator.pyx and pcg64.h.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_STATE_BLOCK = 1024
-
-
-def _hashmix(init: int, mult: int):
-    """SeedSequence's ``hashmix`` with its running constant, on uint32 arrays."""
-    hash_const = init
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * mult) & _MASK32
-        value *= np.uint32(hash_const)
-        value ^= value >> np.uint32(16)
-        return value
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    result ^= result >> np.uint32(16)
-    return result
-
-
-def _substream_states(seed: int, nu: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Yield the PCG64 ``(state, inc)`` of ``default_rng((seed % 2**64, v))``
-    for every ``v`` in ``nu`` (integers in ``[0, 2**64)``).
-
-    The entropy is the 32-bit words of ``seed % 2**64`` and then of ``v``,
-    low word first, padded with zeros to the pool size of four; a zero high
-    word of ``v`` is that padding, so ``v >= 2**32`` needs no special case.
-    SeedSequence hashes the entropy into the pool, mixes every pool word
-    into every other, and ``generate_state(4, uint64)`` hashes the pool
-    cyclically into the 128-bit ``initstate`` and ``initseq`` of PCG64.
-    The hashing runs on a block of ``v`` at a time, so its temporaries stay
-    small next to the noise matrix.
-    """
-    base = seed % 2**64
-    base_words = [base & _MASK32] + ([base >> 32] if base >> 32 else [])
-    k = len(base_words)
-    nu = np.asarray(nu, dtype=np.uint64)
-    for start in range(0, nu.size, _STATE_BLOCK):
-        v = nu[start : start + _STATE_BLOCK]
-        entropy = np.zeros((_POOL_SIZE, v.size), dtype=np.uint32)
-        entropy[:k] = np.array(base_words, dtype=np.uint32)[:, None]
-        entropy[k] = v & np.uint64(_MASK32)
-        entropy[k + 1] = v >> np.uint64(32)
-
-        hashmix = _hashmix(_INIT_A, _MULT_A)
-        pool = [hashmix(word) for word in entropy]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-
-        hashmix = _hashmix(_INIT_B, _MULT_B)
-        words = np.array([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], dtype=np.uint64)
-        # little-endian pairs of words: initstate hi, lo; initseq hi, lo
-        seeds = words[0::2] | (words[1::2] << np.uint64(32))
-        for hi, lo, inc_hi, inc_lo in seeds.T.tolist():
-            inc = ((((inc_hi << 64) | inc_lo) << 1) | 1) & _MASK128
-            yield ((((hi << 64) | lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
 
 
 def propagate(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -375,10 +291,11 @@ def marginal_rows(b, vertices: Iterable[int]) -> np.ndarray:
     rows are exactly the max-linear representation of those coordinates.
     """
     B = np.asarray(b, dtype=float)
+    # every label as given, before a set could merge True into 1
+    vertices = tuple(vertices)
+    for v in vertices:
+        _check_vertex(v, B.shape[0])
     subset = sorted(set(vertices))
     if not subset:
         raise VertexOutOfRange("vertex subset must be nonempty")
-    for v in subset:
-        if not 1 <= v <= B.shape[0]:
-            raise VertexOutOfRange(f"vertex {v} outside 1..{B.shape[0]}")
     return B[[v - 1 for v in subset], :]

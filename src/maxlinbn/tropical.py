@@ -95,7 +95,7 @@ def _weighted_dag(c) -> tuple[np.ndarray, Dag]:
         raise DimensionMismatch(f"weight matrix must be square, got {C.shape}")
     if not np.all(np.diag(C) == 1.0):
         raise InvalidWeightMatrix("diagonal entries must all equal 1")
-    edges = [(u + 1, v + 1) for v, u in zip(*np.nonzero(C)) if u != v]
+    edges = [(u + 1, v + 1) for v, u in np.argwhere(C).tolist() if u != v]
     try:
         return C, Dag(d, edges)
     except CycleError as exc:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from maxlinbn import Dag, values_close
@@ -148,18 +150,16 @@ def dense_ratio_statistics(x, atom_rtol=1e-9):
     return mins, mult
 
 
-def noise_matrix_by_rows(spec, n, d):
-    """Oracle for ``noise_matrix``: one ``default_rng((seed % 2**64, nu))``
-    per row, drawing that row's ``d`` values on its own."""
-    z = np.empty((n, d))
-    for nu in range(n):
-        rng = np.random.default_rng((spec.seed % 2**64, nu))
-        if spec.family == "frechet":
-            (alpha,) = spec.params
-            u = rng.random(d)
-            u[u == 0.0] = np.nextafter(0.0, 1.0)
-            z[nu] = (-np.log(u)) ** (-1.0 / alpha)
-        else:
-            mu, sigma = spec.params
-            z[nu] = rng.lognormal(mu, sigma, d)
-    return z
+def noise_by_scalars(spec, rng, count):
+    """Oracle for the noise values: ``count`` draws from ``rng``.  Fréchet
+    values are ``(-log u) ** (-1 / alpha)`` of the uniforms ``u``, computed
+    one Python float at a time (``u = 0`` moved to the smallest subnormal);
+    lognormal values are ``rng.lognormal(mu, sigma, count)``."""
+    if spec.family == "lognormal":
+        mu, sigma = spec.params
+        return rng.lognormal(mu, sigma, count)
+    (alpha,) = spec.params
+    tiny = math.nextafter(0.0, 1.0)
+    return np.array(
+        [(-math.log(max(u, tiny))) ** (-1.0 / alpha) for u in rng.random(count).tolist()]
+    )

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -28,12 +29,10 @@ from maxlinbn import (
     propagate,
 )
 
-from maxlinbn.model import _substream_states
-
 from helpers import (
     log_uniform,
     minimal_dag_by_pairs,
-    noise_matrix_by_rows,
+    noise_by_scalars,
     random_dag,
     random_polytree,
     random_weighted_dag,
@@ -115,6 +114,18 @@ class TestPropagate:
         assert peak < 4 * n * d * 8
 
 
+SEEDS = [0, 1, 42, 2**32 - 1, 2**32, -1, 2**63 + 5, 2**64 - 1, 2**70 + 3]
+
+
+def noise_specs(seed):
+    return [
+        NoiseSpec.frechet(1.0, seed),
+        NoiseSpec.frechet(2.5, seed),
+        NoiseSpec.frechet(0.5, seed),
+        NoiseSpec.lognormal(0.3, 1.7, seed),
+    ]
+
+
 class TestSampling:
     def test_single_vertex_is_noise_itself(self):
         m = MaxLinearModel(Dag(1), {})
@@ -161,7 +172,7 @@ class TestSampling:
         x1 = diamond_model.sample(30, spec)
         x2 = diamond_model.sample(30, spec)
         assert np.array_equal(x1, x2)
-        # per-observation substreams: a longer run extends a shorter one
+        # one stream filled row by row: a longer run extends a shorter one
         x3 = diamond_model.sample(10, spec)
         assert np.array_equal(x1[:10], x3)
 
@@ -218,28 +229,45 @@ class TestSampling:
             with pytest.raises(MaxLinError, match=r"NoiseSpec\(.*outside \(0, inf\)"):
                 noise_matrix(spec, 20, 3)
 
-    @pytest.mark.parametrize(
-        "seed", [0, 1, 42, 2**32 - 1, 2**32, -1, 2**63 + 5, 2**64 - 1, 2**70 + 3]
-    )
-    def test_noise_matrix_equals_one_generator_per_row(self, seed):
-        specs = [
-            NoiseSpec.frechet(1.0, seed),
-            NoiseSpec.frechet(2.5, seed),
-            NoiseSpec.frechet(0.5, seed),
-            NoiseSpec.lognormal(0.3, 1.7, seed),
-        ]
-        for spec in specs:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_noise_matrix_is_prefix_stable(self, seed):
+        for spec in noise_specs(seed):
+            z = noise_matrix(spec, 1000, 7)
             for n in (1, 2, 257):
-                assert np.array_equal(noise_matrix(spec, n, 7), noise_matrix_by_rows(spec, n, 7))
+                assert np.array_equal(noise_matrix(spec, n, 7), z[:n])
 
-    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
-    def test_substream_states_past_two_to_the_32_rows(self, seed):
-        nu = [0, 2**32 - 1, 2**32, 2**32 + 7, 2**63, 2**64 - 1]
-        expected = []
-        for v in nu:
-            state = np.random.PCG64(np.random.SeedSequence((seed % 2**64, v))).state["state"]
-            expected.append((state["state"], state["inc"]))
-        assert list(_substream_states(seed, np.array(nu, dtype=np.uint64))) == expected
+    @pytest.mark.parametrize("seed, same", [(-1, 2**64 - 1), (3, 2**70 + 3)])
+    def test_seeds_reduce_modulo_two_to_the_64(self, seed, same):
+        for spec, spec_same in zip(noise_specs(seed), noise_specs(same)):
+            assert np.array_equal(noise_matrix(spec, 50, 7), noise_matrix(spec_same, 50, 7))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_noise_matrix_equals_one_stream_drawn_by_scalars(self, seed):
+        n, d = 40, 7
+        for spec in noise_specs(seed):
+            expected = noise_by_scalars(spec, np.random.default_rng(seed % 2**64), n * d)
+            assert matrices_close(noise_matrix(spec, n, d), expected.reshape(n, d), rtol=1e-13)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_row_zero_equals_the_generator_seeded_with_seed_and_zero(self, seed):
+        d = 7
+        for spec in noise_specs(seed):
+            expected = noise_by_scalars(spec, np.random.default_rng((seed % 2**64, 0)), d)
+            assert matrices_close(noise_matrix(spec, 3, d)[0], expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, False, "3", None])
+    def test_noise_spec_rejects_non_integer_seeds(self, seed):
+        message = re.escape(f"seed must be an integer, got {seed!r}")
+        with pytest.raises(MaxLinError, match=message):
+            NoiseSpec("frechet", (1.0,), seed)
+        with pytest.raises(MaxLinError, match="seed must be an integer"):
+            NoiseSpec.lognormal(0.0, 1.0, seed)
+
+    def test_noise_spec_takes_numpy_integer_seeds(self):
+        spec = NoiseSpec("frechet", (1.0,), np.int64(-1))
+        assert type(spec.seed) is int
+        expected = noise_matrix(NoiseSpec.frechet(1.0, -1), 5, 3)
+        assert np.array_equal(noise_matrix(spec, 5, 3), expected)
 
 
 class TestMinimalDag:
@@ -401,6 +429,18 @@ class TestMarginalRows:
             marginal_rows(diamond_model.B, {0})
         with pytest.raises(VertexOutOfRange):
             marginal_rows(diamond_model.B, set())
+
+    @pytest.mark.parametrize("label", [1.0, True, 2.5, np.float64(2.0)])
+    def test_non_integer_labels_rejected(self, diamond_model, label):
+        message = re.escape(f"vertex labels must be integers, got {label!r}")
+        with pytest.raises(VertexOutOfRange, match=message):
+            marginal_rows(diamond_model.B, [label])
+        with pytest.raises(VertexOutOfRange, match="vertex labels must be integers"):
+            marginal_rows(diamond_model.B, [1, label])
+
+    def test_numpy_integer_labels_accepted(self, diamond_model):
+        rows = marginal_rows(diamond_model.B, np.array([4, 1]))
+        assert np.array_equal(rows, diamond_model.B[[0, 3], :])
 
     def test_non_faithfulness_witness(self, diamond, diamond_weights):
         # path through 3 carries the larger weight, so dropping 1 -> 2

@@ -19,6 +19,8 @@ from maxlinbn import (
     values_close,
 )
 
+from maxlinbn.tropical import _weighted_dag
+
 from helpers import random_weighted_dag
 
 
@@ -132,6 +134,14 @@ class TestClosure:
             g, w = random_weighted_dag(rng, 7)
             b = closure(assemble_weight_matrix(g, w))
             assert matrices_close(max_times_product(b, b), b, rtol=1e-12)
+
+    def test_weighted_dag_labels_are_plain_ints(self):
+        rng = np.random.default_rng(17)
+        g, w = random_weighted_dag(rng, 30, p=0.3)
+        _, h = _weighted_dag(assemble_weight_matrix(g, w))
+        assert h == g
+        assert all(type(v) is int for edge in h.edges for v in edge)
+        assert all(type(v) is int for v in h.well_order)
 
     def test_monotone_in_each_weight(self):
         rng = np.random.default_rng(13)
