@@ -45,6 +45,20 @@ def _print_matrix(m: np.ndarray, label: str, as_json: bool) -> None:
         print(formats.format_table(m))
 
 
+def _print_result(out: dict, as_json: bool) -> None:
+    """One JSON line, or one ``key: value`` line per entry with bools in
+    lower case and floats to 17 significant digits."""
+    if as_json:
+        print(json.dumps(out))
+        return
+    for key, value in out.items():
+        if isinstance(value, bool):
+            value = str(value).lower()
+        elif isinstance(value, float):
+            value = formats.fmt17(value)
+        print(f"{key}: {value}")
+
+
 def _require_weights(weights, what: str):
     if weights is None:
         raise MaxLinError(f"{what} requires a DAG JSON with edge weights")
@@ -83,11 +97,7 @@ def _cmd_query(args) -> int:
         verdicts["d-separated"] = d_separated(g, left, right, given)
     if args.method in ("m", "both"):
         verdicts["m-separated"] = m_separated(g, left, right, given)
-    if args.json:
-        print(json.dumps(verdicts))
-    else:
-        for name, value in verdicts.items():
-            print(f"{name}: {str(value).lower()}")
+    _print_result(verdicts, args.json)
     if len(verdicts) == 2 and verdicts["d-separated"] != verdicts["m-separated"]:
         print("internal error: separation criteria disagree", file=sys.stderr)
         return 1
@@ -115,11 +125,7 @@ def _cmd_statements(args) -> int:
 def _cmd_equiv(args) -> int:
     g1, _ = formats.load_dag(args.dag1)
     g2, _ = formats.load_dag(args.dag2)
-    verdict = markov_equivalent(g1, g2)
-    if args.json:
-        print(json.dumps({"markov-equivalent": verdict}))
-    else:
-        print(f"markov-equivalent: {str(verdict).lower()}")
+    _print_result({"markov-equivalent": markov_equivalent(g1, g2)}, args.json)
     return 0
 
 
@@ -183,11 +189,7 @@ def _cmd_glr2(args) -> int:
             raise MaxLinError("point mode needs --c-star, --x1 and --x2")
         v = generalized_likelihood_ratio(args.c, args.c_star, (args.x1, args.x2))
         out = {"rho_forward": v.rho_forward, "rho_backward": v.rho_backward}
-    if args.json:
-        print(json.dumps(out))
-    else:
-        for k, val in out.items():
-            print(f"{k}: {formats.fmt17(val)}")
+    _print_result(out, args.json)
     return 0
 
 
@@ -270,13 +272,8 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except MaxLinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (MaxLinError, FileNotFoundError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

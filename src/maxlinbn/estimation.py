@@ -17,8 +17,10 @@ for the edges and ``ancestor_ratio_coefficients`` for the ancestor pairs.
 
 ``generalized_likelihood_ratio`` scores two candidate weights for the
 two-vertex chain against an observation via the density of one candidate
-distribution with respect to the sum of both; the minimum-ratio estimate
-dominates every alternative under this score.
+distribution with respect to the sum of both, a function of the observed
+ratio ``x2 / x1`` alone.  ``glr_two_node_sample`` scores a sample by the
+product of these pointwise scores; the minimum-ratio estimate dominates
+every alternative under it.
 """
 
 from __future__ import annotations
@@ -223,21 +225,33 @@ class GlrVerdict:
     rho_backward: float
 
 
+def _glr_ratios(y, c: float, c_star: float) -> tuple[np.ndarray, np.ndarray]:
+    """``rho(c, c_star)`` and ``rho(c_star, c)`` for candidates
+    ``c >= c_star`` at each observed ratio ``y = x2 / x1``, by the cases
+    that :func:`generalized_likelihood_ratio` lists."""
+    on = values_close(y, c)
+    above = (y > c) & ~on
+    if values_close(c, c_star):
+        rho = np.where(above | on, 0.5, 0.0)
+        return rho, rho
+    between = ~(on | above) & ((y > c_star) | values_close(y, c_star))
+    return np.select([on, above], [1.0, 0.5]), np.select([above, between], [0.5, 1.0])
+
+
 def generalized_likelihood_ratio(
     c: float, c_star: float, x: tuple[float, float]
 ) -> GlrVerdict:
-    """Both generalized likelihood ratios for one observation of the
-    two-vertex chain ``1 -> 2``.
+    """Both generalized likelihood ratios for one observation
+    ``x = (x1, x2)`` of the two-vertex chain ``1 -> 2``, for candidate
+    weights ``c >= c_star > 0``.
 
-    For candidate weights ``c >= c_star > 0`` and an observation
-    ``x = (x1, x2)`` the density of each candidate with respect to the sum
-    of both is piecewise constant in the position of ``x2`` relative to
-    ``c * x1`` and ``c_star * x1``:
+    Each is the density of one candidate with respect to the sum of both,
+    piecewise constant in the observed ratio ``y = x2 / x1``:
 
-    * ``rho(c, c_star)``: 1/2 above ``c * x1``, 1 on it, 0 below;
-    * ``rho(c_star, c)``: 1/2 above ``c * x1``, 0 on it, 1 on
-      ``[c_star * x1, c * x1)``, 0 below;
-    * equal candidates: both ratios are ``1/2`` iff ``x2 >= c * x1``.
+    * ``rho(c, c_star)``: 1/2 above ``c``, 1 on it, 0 below;
+    * ``rho(c_star, c)``: 1/2 above ``c``, 0 on it, 1 on ``[c_star, c)``,
+      0 below;
+    * equal candidates: both ratios are ``1/2`` iff ``y >= c``.
 
     Equalities are decided by :func:`~maxlinbn.tropical.values_close`.
     """
@@ -249,35 +263,19 @@ def generalized_likelihood_ratio(
         )
     if c < c_star and not values_close(c, c_star):
         raise ValueError(f"candidates must be ordered c >= c_star, got {c} < {c_star}")
-    t = c * x1
-    on_t = values_close(x2, t)
-    if values_close(c, c_star):
-        rho = 0.5 if (x2 > t or on_t) else 0.0
-        return GlrVerdict(rho, rho)
-    if on_t:
-        fwd = 1.0
-    elif x2 > t:
-        fwd = 0.5
-    else:
-        fwd = 0.0
-    t_star = c_star * x1
-    if on_t:
-        bwd = 0.0
-    elif x2 > t:
-        bwd = 0.5
-    elif x2 > t_star or values_close(x2, t_star):
-        bwd = 1.0
-    else:
-        bwd = 0.0
-    return GlrVerdict(fwd, bwd)
+    fwd, bwd = _glr_ratios(np.float64(x2 / x1), c, c_star)
+    return GlrVerdict(float(fwd), float(bwd))
 
 
 def glr_two_node_sample(c: float, x) -> tuple[float, float, float]:
     """Sample-level generalized likelihood ratios for the two-vertex chain.
 
     Compares the minimum-ratio estimate ``c_hat = min x2/x1`` against an
-    arbitrary candidate ``c`` over a whole sample.  With ``n_plus(t)`` the
-    number of observations whose ratio strictly exceeds ``t``:
+    arbitrary candidate ``c`` over a whole sample.  The sample ratio of two
+    candidates is the product over the observations of the pointwise ratio
+    of :func:`generalized_likelihood_ratio`.  Since no observed ratio lies
+    below ``c_hat``, with ``n_plus(t)`` the number of observations whose
+    ratio strictly exceeds ``t``:
 
     * ``rho(c_hat, c)`` is 0 if ``c > c_hat`` and ``c`` equals some observed
       ratio, ``2**-n_plus(c)`` if ``c > c_hat`` otherwise, ``2**-n`` at
@@ -295,17 +293,11 @@ def glr_two_node_sample(c: float, x) -> tuple[float, float, float]:
     if a.shape[1] != 2:
         raise DimensionMismatch(f"need a two-column sample, got {a.shape[1]} columns")
     y = a[:, 1] / a[:, 0]
-    n = y.size
     c_hat = float(y.min())
-    if values_close(c, c_hat):
-        rho_fwd = 2.0 ** -n
-        rho_bwd = 2.0 ** -n
-    elif c > c_hat:
-        rho_fwd = 0.0 if values_close(y, c).any() else 2.0 ** -int(np.sum(y > c))
-        rho_bwd = 0.0
+    if c >= c_hat:
+        c_vs_hat, hat_vs_c = _glr_ratios(y, c, c_hat)
     else:
-        n_plus_hat = int(np.sum((y > c_hat) & ~values_close(y, c_hat)))
-        rho_fwd = 2.0 ** -n_plus_hat
-        rho_bwd = 0.0
+        hat_vs_c, c_vs_hat = _glr_ratios(y, c_hat, c)
+    rho_fwd, rho_bwd = float(np.prod(hat_vs_c)), float(np.prod(c_vs_hat))
     assert rho_fwd >= rho_bwd
     return rho_fwd, rho_bwd, c_hat

@@ -38,17 +38,31 @@ Edge = tuple[int, int]
 EMPTY: frozenset[int] = frozenset()
 
 
+def _is_int(v) -> bool:
+    """``v`` is a Python or numpy integer and not a ``bool``."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_integer(value, name: str) -> None:
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_label(v) -> None:
+    if not _is_int(v):
+        raise VertexOutOfRange(f"vertex labels must be integers, got {v!r}")
+
+
 def _check_vertex(v: int, d: int) -> None:
     if type(v) is int and 0 < v <= d:
         return
-    if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-        raise VertexOutOfRange(f"vertex labels must be integers, got {v!r}")
+    _check_label(v)
     if not 1 <= v <= d:
         raise VertexOutOfRange(f"vertex {v} outside 1..{d}")
 
 
 def _check_count(d: int) -> int:
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
+    if not _is_int(d) or d < 1:
         raise VertexOutOfRange(f"vertex count must be a positive integer, got {d!r}")
     return int(d)
 

@@ -33,7 +33,7 @@ from .errors import (
     NonPositiveWeight,
     VertexOutOfRange,
 )
-from .graph import Dag, Edge, _check_vertex
+from .graph import Dag, Edge, _check_integer, _check_vertex, _is_int
 from .tropical import _sweep, closure, max_times_product, values_close
 
 
@@ -65,7 +65,7 @@ class NoiseSpec:
             names = ("mu", "sigma")
         else:
             raise ValueError(f"unknown noise family {self.family!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+        if not _is_int(self.seed):
             raise MaxLinError(f"noise seed must be an integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         for name, value in zip(names, self.params, strict=True):
@@ -167,6 +167,7 @@ class MaxLinearModel:
         satisfies the recursion exactly, with no rounding beyond the one
         product per edge.
         """
+        _check_integer(n, "n")
         if n < 1:
             raise ValueError(f"need n >= 1 observations, got {n}")
         z = noise_matrix(noise, n, self.d)
@@ -188,6 +189,7 @@ def noise_matrix(noise: NoiseSpec, n: int, d: int) -> np.ndarray:
     Raises :class:`MaxLinError` when a draw overflows to ``inf`` or
     underflows to 0: the parameters then give no sample in ``(0, inf)``.
     """
+    _check_integer(n, "n")
     rng = np.random.default_rng(noise.seed % 2**64)
     with np.errstate(over="ignore", under="ignore"):
         z = noise._draw(rng, n, d)

@@ -21,7 +21,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .errors import NonDisjointQuery, SizeLimitExceeded
-from .graph import Dag, _check_vertex
+from .graph import Dag, _check_integer, _check_vertex
 
 
 class IndependenceStatement:
@@ -168,6 +168,7 @@ def enumerate_independences(
     statements share their sets: one frozenset per vertex, and one per
     conditioning set of each source ``a``.
     """
+    _check_integer(max_cond, "max_cond")
     if max_cond < 0:
         raise ValueError("max_cond must be nonnegative")
     d = g.d

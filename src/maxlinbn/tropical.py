@@ -16,8 +16,10 @@ so ``M[v-1, u-1]`` carries the weight attached to ``u -> v``.
 Equality of path weights is never exact in floating point (products of the
 same weights associate differently), so every tie or equality decision in
 this package goes through :func:`values_close` with the single relative
-tolerance ``DEFAULT_RTOL``; no function that decides one takes a tolerance
-of its own.
+tolerance ``DEFAULT_RTOL``.  One kind of decision has a tolerance of its own:
+whether two observed ratios hit the same atom, which
+``estimation.ratio_statistics`` and the ``identify_*`` functions decide at
+their ``atom_rtol`` argument (default ``DEFAULT_ATOM_RTOL``).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     NotAPath,
     SizeLimitExceeded,
 )
-from .graph import Dag
+from .graph import Dag, _check_label
 
 #: Relative tolerance governing all equality comparisons between path weights.
 DEFAULT_RTOL = 1e-9
@@ -145,7 +147,8 @@ def path_weight(c, path: Sequence[int]) -> float:
 
     ``path`` is a vertex sequence ``[k0, k1, ...]``; every consecutive pair
     must be an edge of the DAG underlying ``c`` (positive off-diagonal
-    entry).  A length-0 path has weight 1.
+    entry).  A length-0 path has weight 1.  A label that is not an integer
+    raises :class:`VertexOutOfRange`, one outside ``1..d`` :class:`NotAPath`.
     """
     C = _as_matrix(c, "weight matrix")
     d = C.shape[0]
@@ -153,6 +156,7 @@ def path_weight(c, path: Sequence[int]) -> float:
     if not verts:
         raise NotAPath("a path contains at least one vertex")
     for v in verts:
+        _check_label(v)
         if not 1 <= v <= d:
             raise NotAPath(f"vertex {v} outside 1..{d}")
     if len(set(verts)) != len(verts):

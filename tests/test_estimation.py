@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -379,6 +380,24 @@ class TestGlrSample:
         for c in grid:
             fwd, bwd, _ = glr_two_node_sample(float(c), x)
             assert fwd >= bwd
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sample_ratio_is_product_of_pointwise_ratios(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 5, 17, 40):
+            z = 1.0 / -np.log(rng.random((n, 2)))  # unit Frechet noise
+            x = np.column_stack([z[:, 0], np.maximum(rng.uniform(0.2, 2.0) * z[:, 0], z[:, 1])])
+            x[:, 0] *= np.exp(rng.uniform(-5.0, 5.0))
+            y = x[:, 1] / x[:, 0]
+            c_hat = float(y.min())
+            base = [float(rng.uniform(0.01, 5.0)), c_hat, *(float(v) for v in y[:4])]
+            for c in [b * (1 + rel) for b in base for rel in (0.0, 1e-12, 1e-6)]:
+                hi, lo = max(c, c_hat), min(c, c_hat)
+                verdicts = [generalized_likelihood_ratio(hi, lo, (x1, x2)) for x1, x2 in x]
+                hi_vs_lo = math.prod(v.rho_forward for v in verdicts)
+                lo_vs_hi = math.prod(v.rho_backward for v in verdicts)
+                expected = (lo_vs_hi, hi_vs_lo) if c >= c_hat else (hi_vs_lo, lo_vs_hi)
+                assert glr_two_node_sample(c, x) == (*expected, c_hat)
 
     def test_needs_two_columns(self):
         with pytest.raises(DimensionMismatch):

@@ -190,6 +190,26 @@ class TestSampling:
         with pytest.raises(ValueError):
             diamond_model.sample(0, NoiseSpec.frechet(1.0, 7))
 
+    @pytest.mark.parametrize("n", [True, False, 2.5, 3.0, "3"])
+    def test_non_integer_n_rejected(self, diamond_model, n):
+        spec = NoiseSpec.frechet(1.0, 7)
+        message = re.escape(f"n must be an integer, got {n!r}")
+        with pytest.raises(ValueError, match=message):
+            diamond_model.sample(n, spec)
+        with pytest.raises(ValueError, match=message):
+            noise_matrix(spec, n, 4)
+
+    @pytest.mark.parametrize("n", [0, -1, np.int64(0)])
+    def test_too_few_observations_named(self, diamond_model, n):
+        with pytest.raises(ValueError, match=f"need n >= 1 observations, got {n}"):
+            diamond_model.sample(n, NoiseSpec.frechet(1.0, 7))
+
+    def test_numpy_integer_n_accepted(self, diamond_model):
+        spec = NoiseSpec.frechet(1.0, 7)
+        x = diamond_model.sample(5, spec)
+        assert np.array_equal(diamond_model.sample(np.int64(5), spec), x)
+        assert np.array_equal(noise_matrix(spec, np.int32(5), 4), noise_matrix(spec, 5, 4))
+
     def test_noise_spec_validation(self):
         with pytest.raises(NonPositiveWeight):
             NoiseSpec.frechet(0.0, 1)

@@ -176,6 +176,19 @@ class TestMarkovStatements:
 
 
 class TestEnumerate:
+    @pytest.mark.parametrize("max_cond", [True, 2.5, 1.0, None])
+    def test_non_integer_max_cond_rejected(self, max_cond):
+        with pytest.raises(ValueError, match=re.escape(f"max_cond must be an integer, got {max_cond!r}")):
+            enumerate_independences(Dag(3, [(1, 2)]), max_cond)
+
+    def test_negative_max_cond_rejected(self):
+        with pytest.raises(ValueError, match="max_cond must be nonnegative"):
+            enumerate_independences(Dag(3, [(1, 2)]), -1)
+
+    def test_numpy_integer_max_cond_accepted(self):
+        g = Dag(4, [(1, 2), (2, 3), (3, 4)])
+        assert enumerate_independences(g, np.int64(1)) == enumerate_independences(g, 1)
+
     def test_empty_graph_all_independent(self):
         stmts = enumerate_independences(Dag(3), max_cond=1)
         assert len(stmts) == 6

@@ -10,6 +10,7 @@ from maxlinbn import (
     MaxLinearModel,
     NotAPath,
     SizeLimitExceeded,
+    VertexOutOfRange,
     assemble_weight_matrix,
     brute_force_coefficients,
     closure,
@@ -176,8 +177,19 @@ class TestPathWeight:
             path_weight(c, [1, 2, 1])  # repeated vertex
         with pytest.raises(NotAPath):
             path_weight(c, [])
-        with pytest.raises(NotAPath):
+        with pytest.raises(NotAPath, match=r"vertex 9 outside 1\.\.4"):
             path_weight(c, [1, 9])
+
+    @pytest.mark.parametrize("path", [[1, 2.5], [1.0, 2], [True, 2], [1, False], ["1", 2]])
+    def test_non_integer_label_rejected(self, diamond, diamond_weights, path):
+        c = diamond_C(diamond, diamond_weights)
+        bad = next(v for v in path if type(v) is not int)
+        with pytest.raises(VertexOutOfRange, match=f"vertex labels must be integers, got {bad!r}"):
+            path_weight(c, path)
+
+    def test_numpy_integer_labels_accepted(self, diamond, diamond_weights):
+        c = diamond_C(diamond, diamond_weights)
+        assert path_weight(c, [np.int64(1), np.int32(2), np.uint8(4)]) == 0.5 * 0.6
 
     def test_infinite_weight_rejected_without_warning(self, diamond, diamond_weights):
         c = diamond_C(diamond, diamond_weights)
