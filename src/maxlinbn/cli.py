@@ -175,7 +175,7 @@ def _cmd_learn(args) -> int:
         _print_matrix(b_check, "B_check", False)
         print("minimal DAG:", json.dumps(formats.dag_to_dict(g, weights)))
         print("atom multiplicities:")
-        print(formats.format_table(stats.multiplicity.astype(float), sig=6))
+        print(formats.format_table(stats.multiplicity.astype(float)))
     return 0
 
 

@@ -168,10 +168,10 @@ def _malformed_rows(path: str) -> Optional[str]:
     return ragged
 
 
-def format_table(m: np.ndarray, sig: int = 6) -> str:
-    """Aligned human-readable table with ``sig`` significant digits."""
+def format_table(m: np.ndarray) -> str:
+    """Aligned human-readable table with 6 significant digits."""
     a = np.asarray(m, dtype=float)
-    cells = [[format(v, f".{sig}g") for v in row] for row in a]
+    cells = [[format(v, ".6g") for v in row] for row in a]
     widths = [max(len(cells[i][j]) for i in range(len(cells))) for j in range(a.shape[1])]
     return "\n".join(
         "  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells

@@ -61,6 +61,15 @@ def _check_vertex(v: int, d: int) -> None:
         raise VertexOutOfRange(f"vertex {v} outside 1..{d}")
 
 
+def _vertex_set(labels: Iterable[int], d: int) -> frozenset[int]:
+    """``labels`` as a set, each label checked as given: a set would merge
+    ``True`` and ``1.0`` into ``1`` before a check could see them."""
+    labels = tuple(labels)
+    for v in labels:
+        _check_vertex(v, d)
+    return frozenset(labels)
+
+
 def _check_count(d: int) -> int:
     if not _is_int(d) or d < 1:
         raise VertexOutOfRange(f"vertex count must be a positive integer, got {d!r}")
@@ -147,9 +156,7 @@ class UndirectedGraph:
 
     def separated(self, a: Iterable[int], b: Iterable[int], s: Iterable[int] = ()) -> bool:
         """True iff every path from ``a`` to ``b`` intersects ``s``."""
-        A, B, S = set(a), set(b), set(s)
-        for v in A | B | S:
-            _check_vertex(v, self._d)
+        A, B, S = _vertex_set(a, self._d), _vertex_set(b, self._d), _vertex_set(s, self._d)
         seen = set(A)
         stack = [v for v in A if v not in S]
         while stack:
@@ -319,9 +326,7 @@ class Dag:
     def _walk(self, step: dict[int, frozenset[int]], start: Iterable[int]) -> frozenset[int]:
         """``start`` and every vertex reached from it along ``step``, a map
         from each vertex to its parents, its children or its neighbours."""
-        stack = list(start)
-        for v in stack:
-            _check_vertex(v, self._d)
+        stack = list(_vertex_set(start, self._d))
         out = set(stack)
         while stack:
             for u in step[stack.pop()]:

@@ -33,7 +33,7 @@ from .errors import (
     NonPositiveWeight,
     VertexOutOfRange,
 )
-from .graph import Dag, Edge, _check_integer, _check_vertex, _is_int
+from .graph import Dag, Edge, _check_integer, _is_int, _vertex_set
 from .tropical import _sweep, closure, max_times_product, values_close
 
 
@@ -190,6 +190,7 @@ def noise_matrix(noise: NoiseSpec, n: int, d: int) -> np.ndarray:
     underflows to 0: the parameters then give no sample in ``(0, inf)``.
     """
     _check_integer(n, "n")
+    _check_integer(d, "d")
     rng = np.random.default_rng(noise.seed % 2**64)
     with np.errstate(over="ignore", under="ignore"):
         z = noise._draw(rng, n, d)
@@ -215,7 +216,25 @@ def propagate(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_sweep(c, z).T)
 
 
-def _validate_coefficients(b) -> tuple[np.ndarray, np.ndarray]:
+def minimal_dag(b) -> tuple[Dag, dict[Edge, float]]:
+    """Edge-minimal DAG and weights reproducing a coefficient matrix.
+
+    An edge ``u -> v`` survives exactly when its coefficient beats every
+    two-step composition: ``b_vu > max_k b_vk * b_ku`` over ``k`` distinct
+    from ``u`` and ``v``.  With ``off`` the matrix ``b`` with its diagonal
+    set to 0, those compositions are the max-times product
+    ``off (x) off``, where ``k = u`` and ``k = v`` contribute 0.  A
+    composition that :func:`values_close` calls equal to ``b_vu`` means an
+    alternative best-weight path exists, so the edge is dropped.  Weights
+    of kept edges are pinned to the coefficients themselves.
+
+    The DAG's reachability is the sign pattern ``R = b > 0`` for any values:
+    ``R`` is checked antisymmetric and transitively closed, so it is a
+    partial order that holds every kept edge.  An edge ``u -> v`` of ``R`` is
+    dropped only for a positive composition through some ``k`` strictly
+    between ``u`` and ``v``; by induction on the interval ``[u, v]`` of
+    ``R``, kept edges still lead from ``u`` to ``k`` and on to ``v``.
+    """
     B = np.asarray(b, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise DimensionMismatch(f"coefficient matrix must be square, got {B.shape}")
@@ -230,33 +249,12 @@ def _validate_coefficients(b) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidCoefficientMatrix("sign pattern is not antisymmetric")
     if np.any(((R.astype(np.int64) @ R.astype(np.int64)) > 0) & ~R):
         raise InvalidCoefficientMatrix("sign pattern is not transitively closed")
-    return B, R
-
-
-def minimal_dag(b) -> tuple[Dag, dict[Edge, float]]:
-    """Edge-minimal DAG and weights reproducing a coefficient matrix.
-
-    An edge ``u -> v`` survives exactly when its coefficient beats every
-    two-step composition: ``b_vu > max_k b_vk * b_ku`` over ``k`` distinct
-    from ``u`` and ``v``.  With ``off`` the matrix ``b`` with its diagonal
-    set to 0, those compositions are the max-times product
-    ``off (x) off``, where ``k = u`` and ``k = v`` contribute 0.  A
-    composition that :func:`values_close` calls equal to ``b_vu`` means an
-    alternative best-weight path exists, so the edge is dropped.  Weights
-    of kept edges are pinned to the coefficients themselves.
-    """
-    B, R = _validate_coefficients(b)
     off = B.copy()
     np.fill_diagonal(off, 0.0)
     best = max_times_product(off, off)
     keep = (off > best) & ~values_close(best, off)
     edges = {(u + 1, v + 1): float(B[v, u]) for v, u in np.argwhere(keep).tolist()}
-    g = Dag(B.shape[0], edges.keys())
-    if not np.array_equal(g.reach, R):
-        raise InvalidCoefficientMatrix(
-            "entry values are inconsistent with the sign pattern"
-        )
-    return g, edges
+    return Dag(B.shape[0], edges.keys()), edges
 
 
 def admissible_weights(b, g: Dag) -> dict[Edge, tuple[WeightKind, float]]:
@@ -293,11 +291,7 @@ def marginal_rows(b, vertices: Iterable[int]) -> np.ndarray:
     rows are exactly the max-linear representation of those coordinates.
     """
     B = np.asarray(b, dtype=float)
-    # every label as given, before a set could merge True into 1
-    vertices = tuple(vertices)
-    for v in vertices:
-        _check_vertex(v, B.shape[0])
-    subset = sorted(set(vertices))
+    subset = sorted(_vertex_set(vertices, B.shape[0]))
     if not subset:
         raise VertexOutOfRange("vertex subset must be nonempty")
     return B[[v - 1 for v in subset], :]

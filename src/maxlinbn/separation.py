@@ -16,12 +16,15 @@ random graphs.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
 from .errors import NonDisjointQuery, SizeLimitExceeded
-from .graph import Dag, _check_integer, _check_vertex
+from .graph import Dag, _check_integer, _vertex_set
+
+#: Triples :func:`enumerate_independences` will enumerate at most.
+MAX_TRIPLES = 10**6
 
 
 class IndependenceStatement:
@@ -56,11 +59,7 @@ class IndependenceStatement:
 
 
 def _query_sets(g: Dag, a, b, s) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    # every label as given, before a set could merge True into 1
-    a, b, s = tuple(a), tuple(b), tuple(s)
-    for v in chain(a, b, s):
-        _check_vertex(v, g.d)
-    A, B, S = frozenset(a), frozenset(b), frozenset(s)
+    A, B, S = _vertex_set(a, g.d), _vertex_set(b, g.d), _vertex_set(s, g.d)
     if not A or not B:
         raise NonDisjointQuery("both query sides must be nonempty")
     if A & B or A & S or B & S:
@@ -150,16 +149,15 @@ def markov_statements(g: Dag, kind: str) -> list[IndependenceStatement]:
     return out
 
 
-def enumerate_independences(
-    g: Dag, max_cond: int, max_triples: int = 10**6
-) -> list[IndependenceStatement]:
+def enumerate_independences(g: Dag, max_cond: int) -> list[IndependenceStatement]:
     """Every singleton separation statement with conditioning sets up to
     ``max_cond`` vertices.
 
     Enumerates all triples ``({a}, {b}, S)`` with ``a < b``, ``S`` disjoint
     from ``{a, b}`` and ``|S| <= max_cond``, each carrying its d-separation
     verdict.  One traversal from ``a`` given ``S`` decides every ``b`` at
-    once.
+    once.  Raises :class:`SizeLimitExceeded` before any work when there are
+    more than :data:`MAX_TRIPLES` triples.
 
     Output is in the canonical order ``(a, b, |S|, sorted S)`` as it is
     emitted: the statements of each source ``a`` are collected per target
@@ -174,8 +172,8 @@ def enumerate_independences(
     d = g.d
     kmax = min(max_cond, d - 2)
     total = comb(d, 2) * sum(comb(d - 2, k) for k in range(kmax + 1)) if d >= 2 else 0
-    if total > max_triples:
-        raise SizeLimitExceeded(f"{total} triples exceed the cap of {max_triples}")
+    if total > MAX_TRIPLES:
+        raise SizeLimitExceeded(f"{total} triples exceed the cap of {MAX_TRIPLES}")
     single = {v: frozenset((v,)) for v in range(1, d + 1)}
     out: list[IndependenceStatement] = []
     for x in range(1, d):

@@ -15,11 +15,11 @@ so ``M[v-1, u-1]`` carries the weight attached to ``u -> v``.
 
 Equality of path weights is never exact in floating point (products of the
 same weights associate differently), so every tie or equality decision in
-this package goes through :func:`values_close` with the single relative
-tolerance ``DEFAULT_RTOL``.  One kind of decision has a tolerance of its own:
-whether two observed ratios hit the same atom, which
-``estimation.ratio_statistics`` and the ``identify_*`` functions decide at
-their ``atom_rtol`` argument (default ``DEFAULT_ATOM_RTOL``).
+this package goes through :func:`values_close` at the one relative tolerance
+``DEFAULT_RTOL``, which no call overrides.  Whether two observed ratios hit
+the same atom is decided at the ``atom_rtol`` argument of
+``estimation.ratio_statistics`` and the ``identify_*`` functions (default
+``DEFAULT_ATOM_RTOL``), the package's one per-call tolerance.
 """
 
 from __future__ import annotations
@@ -40,25 +40,27 @@ from .graph import Dag, _check_label
 #: Relative tolerance governing all equality comparisons between path weights.
 DEFAULT_RTOL = 1e-9
 
+#: Paths :func:`brute_force_coefficients` enumerates before it gives up.
+MAX_PATHS = 10**6
 
-def values_close(x, y, rtol: float = DEFAULT_RTOL):
-    """Relative closeness ``|x - y| <= rtol * max(|x|, |y|)``, elementwise.
+
+def values_close(x, y):
+    """Relative closeness ``|x - y| <= DEFAULT_RTOL * max(|x|, |y|)``, elementwise.
 
     ``x`` and ``y`` are numbers or arrays that broadcast together; the
-    result is a numpy bool or a bool array of the broadcast shape.  The
-    package decides every tie here at ``DEFAULT_RTOL``; ``rtol`` lets
-    :func:`matrices_close` compare at another tolerance.
+    result is a numpy bool or a bool array of the broadcast shape.  Every
+    tie in the package is decided here.
     """
-    return np.abs(x - y) <= rtol * np.maximum(np.abs(x), np.abs(y))
+    return np.abs(x - y) <= DEFAULT_RTOL * np.maximum(np.abs(x), np.abs(y))
 
 
-def matrices_close(f: np.ndarray, g: np.ndarray, rtol: float = DEFAULT_RTOL) -> bool:
+def matrices_close(f: np.ndarray, g: np.ndarray) -> bool:
     """Entrywise :func:`values_close`; shapes must match exactly."""
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     if f.shape != g.shape:
         return False
-    return bool(np.all(values_close(f, g, rtol)))
+    return bool(np.all(values_close(f, g)))
 
 
 def _as_matrix(m, name: str) -> np.ndarray:
@@ -170,12 +172,12 @@ def path_weight(c, path: Sequence[int]) -> float:
     return w
 
 
-def brute_force_coefficients(g: Dag, c, max_paths: int = 10**6) -> np.ndarray:
+def brute_force_coefficients(g: Dag, c) -> np.ndarray:
     """Oracle for :func:`closure` by exhaustive path enumeration.
 
     Enumerates every directed path of ``g`` and takes, per ordered vertex
     pair, the maximal path weight.  Intended for small graphs only; raises
-    :class:`SizeLimitExceeded` after ``max_paths`` enumerated paths.
+    :class:`SizeLimitExceeded` after :data:`MAX_PATHS` enumerated paths.
     """
     C = _as_matrix(c, "weight matrix")
     if C.shape != (g.d, g.d):
@@ -189,8 +191,8 @@ def brute_force_coefficients(g: Dag, c, max_paths: int = 10**6) -> np.ndarray:
             for t in g.children(v):
                 wt = w * C[t - 1, v - 1]
                 count += 1
-                if count > max_paths:
-                    raise SizeLimitExceeded(f"more than {max_paths} paths")
+                if count > MAX_PATHS:
+                    raise SizeLimitExceeded(f"more than {MAX_PATHS} paths")
                 if wt > B[t - 1, u - 1]:
                     B[t - 1, u - 1] = wt
                 stack.append((t, wt))

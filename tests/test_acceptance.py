@@ -128,7 +128,7 @@ def test_criterion_05_tropical_oracle():
     for _ in range(200):
         g, w = random_weighted_dag(rng, int(rng.integers(1, 9)), p=0.5)
         c = assemble_weight_matrix(g, w)
-        assert matrices_close(closure(c), brute_force_coefficients(g, c), rtol=1e-12)
+        np.testing.assert_allclose(closure(c), brute_force_coefficients(g, c), rtol=1e-12, atol=0)
     _report(5, "closure == brute-force enumeration at rtol 1e-12 on 200 DAGs")
 
 

@@ -157,6 +157,13 @@ class TestLabelChecks:
             with pytest.raises(VertexOutOfRange, match=_exactly(message)):
                 accessor(bad)
 
+    @pytest.mark.parametrize("bad, message", BAD_LABELS)
+    def test_bad_label_in_a_separation_query(self, bad, message):
+        u = UndirectedGraph(3, self.EDGES)
+        for query in (([1, bad], [3], [2]), ([1], [3, bad], [2]), ([1], [3], [2, bad])):
+            with pytest.raises(VertexOutOfRange, match=_exactly(message)):
+                u.separated(*query)
+
     def test_first_bad_edge_reports(self):
         for build in (Dag, UndirectedGraph):
             with pytest.raises(VertexOutOfRange, match=_exactly("vertex 4 outside 1..3")):

@@ -82,7 +82,7 @@ class TestPropagate:
             g, w = random_weighted_dag(rng, int(rng.integers(1, 12)), p=0.5)
             m = MaxLinearModel(g, w)
             z = noise_matrix(NoiseSpec.frechet(1.0, 5), 50, g.d)
-            assert matrices_close(propagate(m.C, z), propagate(m.B, z), rtol=1e-12)
+            np.testing.assert_allclose(propagate(m.C, z), propagate(m.B, z), rtol=1e-12, atol=0)
 
     def test_cyclic_pattern_rejected(self):
         c = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -204,6 +204,12 @@ class TestSampling:
         with pytest.raises(ValueError, match=f"need n >= 1 observations, got {n}"):
             diamond_model.sample(n, NoiseSpec.frechet(1.0, 7))
 
+    @pytest.mark.parametrize("d", [True, 2.5, "3"])
+    def test_non_integer_d_rejected(self, d):
+        message = re.escape(f"d must be an integer, got {d!r}")
+        with pytest.raises(ValueError, match=message):
+            noise_matrix(NoiseSpec.frechet(1.0, 7), 3, d)
+
     def test_numpy_integer_n_accepted(self, diamond_model):
         spec = NoiseSpec.frechet(1.0, 7)
         x = diamond_model.sample(5, spec)
@@ -266,14 +272,16 @@ class TestSampling:
         n, d = 40, 7
         for spec in noise_specs(seed):
             expected = noise_by_scalars(spec, np.random.default_rng(seed % 2**64), n * d)
-            assert matrices_close(noise_matrix(spec, n, d), expected.reshape(n, d), rtol=1e-13)
+            np.testing.assert_allclose(
+                noise_matrix(spec, n, d), expected.reshape(n, d), rtol=1e-13, atol=0
+            )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_row_zero_equals_the_generator_seeded_with_seed_and_zero(self, seed):
         d = 7
         for spec in noise_specs(seed):
             expected = noise_by_scalars(spec, np.random.default_rng((seed % 2**64, 0)), d)
-            assert matrices_close(noise_matrix(spec, 3, d)[0], expected, rtol=1e-13)
+            np.testing.assert_allclose(noise_matrix(spec, 3, d)[0], expected, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("seed", [1.5, 2.0, True, False, "3", None])
     def test_noise_spec_rejects_non_integer_seeds(self, seed):
@@ -348,6 +356,24 @@ class TestMinimalDag:
             minimal_dag(b)
         with pytest.raises(InvalidCoefficientMatrix, match="non-finite"):
             admissible_weights(b, Dag(len(b)))
+
+    def test_reachability_is_the_sign_pattern_whatever_the_values(self):
+        rng = np.random.default_rng(89)
+        draws = (
+            np.ones,
+            lambda shape: rng.choice([0.5, 1.0, 2.0], shape),
+            lambda shape: rng.choice([1e-200, 1e200], shape),
+            lambda shape: np.exp(rng.uniform(-700.0, 700.0, shape)),
+        )
+        for _ in range(300):
+            reach = random_dag(rng, int(rng.integers(1, 12)), rng.uniform(0.1, 0.9)).reach
+            b = np.where(reach, draws[int(rng.integers(len(draws)))](reach.shape), 0.0)
+            np.fill_diagonal(b, 1.0)
+            # arbitrary values need not form a closure: a composition may
+            # overflow to inf, which drops the edge
+            with np.errstate(over="ignore"):
+                g, _ = minimal_dag(b)
+            assert np.array_equal(g.reach, b > 0)
 
     def test_identity_gives_edgeless(self):
         g, weights = minimal_dag(np.eye(4))

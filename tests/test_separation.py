@@ -253,8 +253,9 @@ class TestEnumerate:
         assert peak < 8 * 2**20
 
     def test_size_cap(self):
-        with pytest.raises(SizeLimitExceeded):
-            enumerate_independences(Dag(12), max_cond=10, max_triples=100)
+        # 435 * 2**28 triples: refused before any traversal
+        with pytest.raises(SizeLimitExceeded, match="exceed the cap of 1000000"):
+            enumerate_independences(Dag(30), max_cond=28)
 
 
 class TestGraphoidAxiomsSmoke:
