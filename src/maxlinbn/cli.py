@@ -2,8 +2,8 @@
 
 Every subcommand is a thin adapter over one or two library calls; no
 estimation or graph logic lives here.  Exit codes: 0 on success, 1 on a
-domain error (cycle, dimension mismatch, non-positive sample, ...), 2 on a
-usage error.
+domain error (cycle, dimension mismatch, non-positive sample, ...) or an
+unreadable path, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -130,16 +130,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    with open(args.matrix) as fh:
-        obj = json.load(fh)
-    if isinstance(obj, dict) and "B" not in obj:
-        raise MaxLinError(f"{args.matrix}: matrix JSON needs a list of rows or a 'B' field")
-    rows = obj["B"] if isinstance(obj, dict) else obj
-    try:
-        b = np.asarray(rows, dtype=float)
-    except TypeError as exc:
-        raise MaxLinError(f"{args.matrix}: matrix rows must hold numbers: {exc}") from exc
-    g, weights = minimal_dag(b)
+    g, weights = minimal_dag(formats.load_matrix(args.matrix))
     print(json.dumps(formats.dag_to_dict(g, weights)))
     return 0
 
@@ -272,8 +263,8 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (MaxLinError, FileNotFoundError, ValueError) as exc:
-        # json.JSONDecodeError is a ValueError
+    except (MaxLinError, OSError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError; an unreadable path an OSError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

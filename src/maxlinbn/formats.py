@@ -6,8 +6,9 @@ DAG JSON::
      "edges": [{"from": 1, "to": 2, "weight": 0.5}, ...],
      "names": ["rain", ...]}          # optional
 
-``weight`` entries are optional for graph-only queries.  Matrices are
-written as row-major arrays of numbers.  Samples are CSV with header
+``weight`` entries are optional for graph-only queries.  Matrix JSON is a
+list of rows, or ``{"B": rows}``; matrices are written as row-major arrays
+of numbers.  Samples are CSV with header
 ``x1,...,xd`` and one observation per row, written a block of rows per
 ``%`` formatting operation and read by ``numpy.loadtxt``.  Floats are
 always written with 17 significant digits so that values survive a
@@ -80,6 +81,21 @@ def dag_from_dict(obj: dict) -> tuple[Dag, Optional[dict[Edge, float]]]:
 def load_dag(path: str) -> tuple[Dag, Optional[dict[Edge, float]]]:
     with open(path) as fh:
         return dag_from_dict(json.load(fh))
+
+
+def load_matrix(path: str) -> np.ndarray:
+    """Read matrix JSON: a list of rows, or an object whose ``"B"`` field
+    holds them.  The values are not checked here; the function the matrix
+    is passed to checks them."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    if isinstance(obj, dict) and "B" not in obj:
+        raise MaxLinError(f"{path}: matrix JSON needs a list of rows or a 'B' field")
+    rows = obj["B"] if isinstance(obj, dict) else obj
+    try:
+        return np.asarray(rows, dtype=float)
+    except TypeError as exc:
+        raise MaxLinError(f"{path}: matrix rows must hold numbers: {exc}") from exc
 
 
 def save_dag(path: str, g: Dag, weights: Optional[dict[Edge, float]] = None) -> None:

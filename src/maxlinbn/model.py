@@ -34,7 +34,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .graph import Dag, Edge, _check_integer, _is_int, _vertex_set
-from .tropical import _sweep, closure, max_times_product, values_close
+from .tropical import _sweep, _unit_matrix, closure, max_times_product, values_close
 
 
 class WeightKind(enum.Enum):
@@ -235,15 +235,7 @@ def minimal_dag(b) -> tuple[Dag, dict[Edge, float]]:
     between ``u`` and ``v``; by induction on the interval ``[u, v]`` of
     ``R``, kept edges still lead from ``u`` to ``k`` and on to ``v``.
     """
-    B = np.asarray(b, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise DimensionMismatch(f"coefficient matrix must be square, got {B.shape}")
-    if np.any(B < 0) or np.any(np.isnan(B)):
-        raise InvalidCoefficientMatrix("negative or NaN entries")
-    if not np.all(np.isfinite(B)):
-        raise InvalidCoefficientMatrix("coefficient matrix has non-finite entries")
-    if not np.all(np.diag(B) == 1.0):
-        raise InvalidCoefficientMatrix("diagonal entries must all equal 1")
+    B = _unit_matrix(b, "coefficient matrix", InvalidCoefficientMatrix)
     R = B > 0
     if np.any(R & R.T & ~np.eye(B.shape[0], dtype=bool)):
         raise InvalidCoefficientMatrix("sign pattern is not antisymmetric")
@@ -289,8 +281,10 @@ def marginal_rows(b, vertices: Iterable[int]) -> np.ndarray:
     Two models whose marginal rows agree on a subset induce the same joint
     distribution of that sub-vector (under the same noise law): the kept
     rows are exactly the max-linear representation of those coordinates.
+    ``b`` is checked like the argument of :func:`minimal_dag`, apart from
+    its sign pattern.
     """
-    B = np.asarray(b, dtype=float)
+    B = _unit_matrix(b, "coefficient matrix", InvalidCoefficientMatrix)
     subset = sorted(_vertex_set(vertices, B.shape[0]))
     if not subset:
         raise VertexOutOfRange("vertex subset must be nonempty")

@@ -13,6 +13,15 @@ path enumeration and exists as an independent oracle for it.
 Matrix convention: row index is the target vertex, column index the source,
 so ``M[v-1, u-1]`` carries the weight attached to ``u -> v``.
 
+Matrices are checked once, where they enter: every public function here and
+in :mod:`model` that takes a weight or coefficient matrix passes it through
+:func:`_unit_matrix` (2-d, finite, nonnegative, square, unit diagonal), and
+``max_times_product`` its rectangular factors through :func:`_as_matrix`
+(the same without the last two).  No other module writes a matrix check of
+its own: a bad shape raises :class:`DimensionMismatch` and bad values
+:class:`InvalidWeightMatrix`, or :class:`InvalidCoefficientMatrix` for a
+coefficient matrix.
+
 Equality of path weights is never exact in floating point (products of the
 same weights associate differently), so every tie or equality decision in
 this package goes through :func:`values_close` at the one relative tolerance
@@ -63,12 +72,24 @@ def matrices_close(f: np.ndarray, g: np.ndarray) -> bool:
     return bool(np.all(values_close(f, g)))
 
 
-def _as_matrix(m, name: str) -> np.ndarray:
+def _as_matrix(m, name: str, error=InvalidWeightMatrix) -> np.ndarray:
+    """``m`` as a float array, checked 2-d, finite and nonnegative."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be a 2-d matrix, got shape {a.shape}")
     if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise InvalidWeightMatrix(f"{name} has negative or non-finite entries")
+        raise error(f"{name} has negative or non-finite entries")
+    return a
+
+
+def _unit_matrix(m, name: str, error=InvalidWeightMatrix) -> np.ndarray:
+    """:func:`_as_matrix`, also checked square with a unit diagonal, as
+    every weight and coefficient matrix is."""
+    a = _as_matrix(m, name, error)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got {a.shape}")
+    if not np.all(np.diag(a) == 1.0):
+        raise error(f"{name} diagonal entries must all equal 1")
     return a
 
 
@@ -93,12 +114,8 @@ def max_times_product(f, g) -> np.ndarray:
 
 
 def _weighted_dag(c) -> tuple[np.ndarray, Dag]:
-    C = _as_matrix(c, "weight matrix")
+    C = _unit_matrix(c, "weight matrix")
     d = C.shape[0]
-    if C.shape[0] != C.shape[1]:
-        raise DimensionMismatch(f"weight matrix must be square, got {C.shape}")
-    if not np.all(np.diag(C) == 1.0):
-        raise InvalidWeightMatrix("diagonal entries must all equal 1")
     edges = [(u + 1, v + 1) for v, u in np.argwhere(C).tolist() if u != v]
     try:
         return C, Dag(d, edges)
@@ -152,7 +169,7 @@ def path_weight(c, path: Sequence[int]) -> float:
     entry).  A length-0 path has weight 1.  A label that is not an integer
     raises :class:`VertexOutOfRange`, one outside ``1..d`` :class:`NotAPath`.
     """
-    C = _as_matrix(c, "weight matrix")
+    C = _unit_matrix(c, "weight matrix")
     d = C.shape[0]
     verts = list(path)
     if not verts:
@@ -179,7 +196,7 @@ def brute_force_coefficients(g: Dag, c) -> np.ndarray:
     pair, the maximal path weight.  Intended for small graphs only; raises
     :class:`SizeLimitExceeded` after :data:`MAX_PATHS` enumerated paths.
     """
-    C = _as_matrix(c, "weight matrix")
+    C = _unit_matrix(c, "weight matrix")
     if C.shape != (g.d, g.d):
         raise DimensionMismatch(f"matrix shape {C.shape} does not match d={g.d}")
     B = np.eye(g.d)

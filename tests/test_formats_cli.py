@@ -380,6 +380,16 @@ class TestCli:
     def test_missing_file_exits_1(self, capsys):
         assert run(["closure", "--dag", "/nonexistent.json"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["closure", "--dag", "{dir}"], ["learn", "--samples", "{dir}"]],
+    )
+    def test_directory_path_exits_1_with_one_line(self, tmp_path, capsys, argv):
+        assert run([a.format(dir=tmp_path) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
     def test_non_integer_vertex_id_exits_1_with_one_line(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_text('{"d": 2, "edges": [{"from": 1.9, "to": 2, "weight": 0.5}]}')

@@ -6,17 +6,22 @@ import pytest
 from maxlinbn import (
     Dag,
     DimensionMismatch,
+    InvalidCoefficientMatrix,
     InvalidWeightMatrix,
     MaxLinearModel,
     NotAPath,
     SizeLimitExceeded,
     VertexOutOfRange,
+    admissible_weights,
     assemble_weight_matrix,
     brute_force_coefficients,
     closure,
+    marginal_rows,
     matrices_close,
     max_times_product,
+    minimal_dag,
     path_weight,
+    propagate,
     values_close,
 )
 
@@ -229,6 +234,53 @@ class TestBruteForceOracle:
             g, w = random_weighted_dag(rng, int(rng.integers(1, 9)), p=0.5)
             c = assemble_weight_matrix(g, w)
             assert np.array_equal(closure(c), brute_force_coefficients(g, c))
+
+
+#: Every public entry point that takes a weight or coefficient matrix, with
+#: its other arguments fixed at values valid for a 2-vertex matrix, and the
+#: error raised for bad values.
+SQUARE_MATRIX_ENTRY_POINTS = {
+    "closure": (closure, InvalidWeightMatrix),
+    "propagate": (lambda m: propagate(m, np.ones((1, 2))), InvalidWeightMatrix),
+    "path_weight": (lambda m: path_weight(m, [1]), InvalidWeightMatrix),
+    "brute_force_coefficients": (
+        lambda m: brute_force_coefficients(Dag(2), m),
+        InvalidWeightMatrix,
+    ),
+    "minimal_dag": (minimal_dag, InvalidCoefficientMatrix),
+    "admissible_weights": (
+        lambda m: admissible_weights(m, Dag(2, [(1, 2)])),
+        InvalidCoefficientMatrix,
+    ),
+    "marginal_rows": (lambda m: marginal_rows(m, [1]), InvalidCoefficientMatrix),
+}
+
+#: Malformed matrices and whether their fault is the shape (else the values).
+MALFORMED_MATRICES = {
+    "1-d": ([1.0, 1.0], True),
+    "non-square": ([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], True),
+    "negative": ([[1.0, 0.0], [-2.0, 1.0]], False),
+    "nan": ([[1.0, 0.0], [np.nan, 1.0]], False),
+    "inf": ([[1.0, 0.0], [np.inf, 1.0]], False),
+    "diagonal not 1": ([[2.0, 0.0], [1.0, 1.0]], False),
+}
+
+
+class TestMatrixCheck:
+    @pytest.mark.parametrize("entry", SQUARE_MATRIX_ENTRY_POINTS)
+    @pytest.mark.parametrize("case", MALFORMED_MATRICES)
+    def test_every_entry_point_rejects_every_malformed_matrix(self, entry, case):
+        call, value_error = SQUARE_MATRIX_ENTRY_POINTS[entry]
+        m, bad_shape = MALFORMED_MATRICES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch if bad_shape else value_error):
+                call(m)
+
+    @pytest.mark.parametrize("entry", SQUARE_MATRIX_ENTRY_POINTS)
+    def test_every_entry_point_accepts_a_valid_matrix(self, entry):
+        call, _ = SQUARE_MATRIX_ENTRY_POINTS[entry]
+        call([[1.0, 0.0], [0.5, 1.0]])
 
 
 class TestCloseness:
